@@ -100,12 +100,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	nPortfolio := fs.Int("portfolio", 0, "race N engine configurations; first definitive verdict wins (0 = single engine)")
 	noShare := fs.Bool("no-share", false, "disable cross-engine lemma sharing in a portfolio race")
 	timeout := fs.Duration("timeout", 0, "give up after this long (0 = none)")
-	restart := fs.Bool("restart", false, "restart the Boolean solver per iteration")
-	noIIS := fs.Bool("no-iis", false, "disable conflict-set minimisation")
-	noLemmas := fs.Bool("no-lemmas", false, "disable theory-lemma grounding")
-	noCache := fs.Bool("no-cache", false, "disable the theory-verdict cache")
-	noInpro := fs.Bool("no-inprocess", false, "disable SAT inprocessing (subsumption, failed-literal probing)")
-	noPolyAR := fs.Bool("no-polyar", false, "disable the PolyAR abstraction-refinement fallback for undecided nonlinear checks")
+	cfg := knobFlags(fs)
 	stats := fs.Bool("stats", false, "print statistics")
 	quiet := fs.Bool("q", false, "print the verdict only")
 	verbose := fs.Bool("v", false, "trace engine iterations")
@@ -137,7 +132,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		case *all:
 			fmt.Fprintln(stderr, "absolver: -batch and -all are mutually exclusive")
 			return exitUsage
-		case *restart:
+		case cfg.RestartBoolean:
 			fmt.Fprintln(stderr, "absolver: -batch and -restart are mutually exclusive (a restart discards the session state)")
 			return exitUsage
 		}
@@ -158,27 +153,19 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	cfg := absolver.Config{
-		RestartBoolean: *restart,
-		NoIIS:          *noIIS,
-		NoGroundLemmas: *noLemmas,
-		NoTheoryCache:  *noCache,
-		NoInprocess:    *noInpro,
-		NoPolyAR:       *noPolyAR,
-		Timeout:        *timeout,
-	}
+	cfg.Timeout = *timeout
 	if *verbose {
 		cfg.Trace = absolver.WriterTrace(stderr)
 	}
 
 	if *nPortfolio > 0 {
-		return runPortfolio(p, cfg, *nPortfolio, *timeout, *noShare, *quiet, *stats, stdout, stderr)
+		return runPortfolio(p, *cfg, *nPortfolio, *timeout, *noShare, *quiet, *stats, stdout, stderr)
 	}
 	if *batchFile != "" {
-		return runBatchFile(p, cfg, *batchFile, *quiet, *stats, stdout, stderr)
+		return runBatchFile(p, *cfg, *batchFile, *quiet, *stats, stdout, stderr)
 	}
 
-	eng := absolver.NewEngine(p, cfg)
+	eng := absolver.NewEngine(p, *cfg)
 	exit := exitUnknown
 	if *all {
 		n, status, err := eng.AllModels(nil, *max, func(m absolver.Model) error {
@@ -311,21 +298,16 @@ func runBatchFile(p *absolver.Problem, cfg absolver.Config, path string, quiet, 
 	}
 }
 
-// composeStrategies applies the command line's per-engine knobs on top of
-// every strategy's own configuration. Each knob only ever *adds* its
-// restriction (logical OR): a strategy that already restarts, skips IIS,
-// or skips grounding keeps doing so even when the corresponding flag is
-// absent — assigning the flag value outright would silently strip the
-// "restart" strategy of its defining behaviour.
-func composeStrategies(strategies []absolver.Strategy, base absolver.Config) {
-	for i := range strategies {
-		strategies[i].Config.RestartBoolean = strategies[i].Config.RestartBoolean || base.RestartBoolean
-		strategies[i].Config.NoIIS = strategies[i].Config.NoIIS || base.NoIIS
-		strategies[i].Config.NoGroundLemmas = strategies[i].Config.NoGroundLemmas || base.NoGroundLemmas
-		strategies[i].Config.NoTheoryCache = strategies[i].Config.NoTheoryCache || base.NoTheoryCache
-		strategies[i].Config.NoInprocess = strategies[i].Config.NoInprocess || base.NoInprocess
-		strategies[i].Config.NoPolyAR = strategies[i].Config.NoPolyAR || base.NoPolyAR
+// knobFlags registers one flag per command-line knob in core.Knobs and
+// returns the Config they set.
+func knobFlags(fs *flag.FlagSet) *absolver.Config {
+	cfg := new(absolver.Config)
+	for _, k := range core.Knobs {
+		if k.Flag != "" {
+			fs.BoolVar(k.Field(cfg), k.Flag, false, k.Help)
+		}
 	}
+	return cfg
 }
 
 // runPortfolio races n default strategies and reports the adopted verdict.
@@ -336,10 +318,9 @@ func runPortfolio(p *absolver.Problem, base absolver.Config, n int, timeout time
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	strategies := absolver.DefaultStrategies(n)
 	// The trace stays on the single-engine path (N interleaved engine
-	// traces are not readable); every other per-engine knob composes.
-	composeStrategies(strategies, base)
+	// traces are not readable); every per-engine knob composes.
+	strategies := portfolio.Compose(absolver.DefaultStrategies(n), base)
 	out := absolver.PortfolioSolveWith(ctx, p, strategies, portfolio.Options{NoShare: noShare})
 	if out.Err != nil && !errors.Is(out.Err, context.DeadlineExceeded) {
 		fmt.Fprintln(stderr, "absolver:", out.Err)
@@ -374,19 +355,28 @@ func printVerdict(w io.Writer, res absolver.Result, quiet bool) int {
 	}
 }
 
+// printStats prints one "c <line>: key=value ..." line per -stats line
+// label of core.StatFields. A key drops its line's prefix: the lemmas line
+// prints lemmas_published as "published".
 func printStats(w io.Writer, st core.Stats) {
-	fmt.Fprintf(w, "c iterations=%d linear-checks=%d nonlinear-checks=%d conflicts=%d ne-splits=%d\n",
-		st.Iterations, st.LinearChecks, st.NonlinearChecks, st.ConflictClauses, st.NESplits)
-	fmt.Fprintf(w, "c lemmas: published=%d imported=%d deduped=%d\n",
-		st.LemmasPublished, st.LemmasImported, st.LemmasDeduped)
-	fmt.Fprintf(w, "c theory-cache: hits=%d misses=%d\n",
-		st.TheoryCacheHits, st.TheoryCacheMisses)
-	fmt.Fprintf(w, "c sat-inprocess: subsumed=%d probes=%d compactions=%d\n",
-		st.ClausesSubsumed, st.ProbedLiterals, st.ArenaCompactions)
-	fmt.Fprintf(w, "c polyar: regions=%d pruned=%d witnesses=%d rescued=%d/%d undecided\n",
-		st.PolyARRegions, st.PolyARPruned, st.PolyARWitnesses, st.NLPUnknownRescued, st.NLPUnknown)
-	fmt.Fprintf(w, "c time: bool=%v linear=%v nonlinear=%v wall=%v\n",
-		st.BoolTime, st.LinearTime, st.NonlinearTime, st.WallTime)
+	for i, f := range core.StatFields {
+		if i == 0 || f.Line != core.StatFields[i-1].Line {
+			if i > 0 {
+				fmt.Fprintln(w)
+			}
+			fmt.Fprint(w, "c")
+			if f.Line != "" {
+				fmt.Fprintf(w, " %s:", f.Line)
+			}
+		}
+		key := strings.TrimPrefix(f.Name, strings.ReplaceAll(f.Line, "-", "_")+"_")
+		var v any = f.Get(&st)
+		if f.Duration {
+			v = time.Duration(f.Get(&st))
+		}
+		fmt.Fprintf(w, " %s=%v", strings.ReplaceAll(key, "_", "-"), v)
+	}
+	fmt.Fprintln(w)
 }
 
 func printModel(w io.Writer, m absolver.Model, quiet bool) {

@@ -2,12 +2,19 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"net/url"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"absolver"
+	"absolver/internal/core"
+	"absolver/internal/portfolio"
+	"absolver/internal/server/api"
 )
 
 // satInput: (v1 ∨ v2) with v1 bound to x >= 1 — satisfiable.
@@ -87,6 +94,60 @@ func TestCLIPortfolioRuns(t *testing.T) {
 	}
 }
 
+// TestKnobTable pins the one ablation-knob table: each surface exposes
+// exactly its knobs, every knob round-trips from its flag to Config and
+// from SolveParams.Values through ParseParams to Config, and composition
+// ORs it onto every DefaultStrategies member.
+func TestKnobTable(t *testing.T) {
+	var flags, params []string
+	for i, k := range core.Knobs {
+		only := func(surface string, c core.Config) {
+			t.Helper()
+			for j, o := range core.Knobs {
+				if *o.Field(&c) != (i == j) {
+					t.Errorf("%s: knob %q/%q = %v", surface, o.Flag, o.Param, *o.Field(&c))
+				}
+			}
+		}
+		if k.Flag != "" {
+			flags = append(flags, k.Flag)
+			fs := flag.NewFlagSet("absolver", flag.ContinueOnError)
+			cfg := knobFlags(fs)
+			if err := fs.Parse([]string{"-" + k.Flag}); err != nil {
+				t.Fatal(err)
+			}
+			only("-"+k.Flag, *cfg)
+		}
+		if k.Param != "" {
+			params = append(params, k.Param)
+			p, err := api.ParseParams(url.Values{k.Param: {"true"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := api.ParseParams(p.Values())
+			if err != nil || again != p {
+				t.Fatalf("%s: Values/ParseParams round trip %+v, want %+v (%v)", k.Param, again, p, err)
+			}
+			only("?"+k.Param, again.Config())
+		}
+		var base core.Config
+		*k.Field(&base) = true
+		for _, s := range portfolio.Compose(portfolio.DefaultStrategies(10), base) {
+			if !*k.Field(&s.Config) {
+				t.Errorf("composition dropped %q/%q on strategy %s", k.Flag, k.Param, s.Name)
+			}
+		}
+	}
+	sort.Strings(flags)
+	sort.Strings(params)
+	if want := []string{"no-cache", "no-iis", "no-inprocess", "no-lemmas", "no-polyar", "restart"}; !reflect.DeepEqual(flags, want) {
+		t.Errorf("knob flags %v, want %v", flags, want)
+	}
+	if want := []string{"check_models", "no_cache", "no_iis", "no_lemmas", "no_polyar", "restart"}; !reflect.DeepEqual(params, want) {
+		t.Errorf("knob params %v, want %v", params, want)
+	}
+}
+
 // TestComposeStrategiesOR is the regression test for the flag-composition
 // bug: plain assignment of the -restart flag value used to CLOBBER the
 // "restart" strategy's defining RestartBoolean=true when the flag was
@@ -107,7 +168,7 @@ func TestComposeStrategiesOR(t *testing.T) {
 	}
 
 	// No flags set: every strategy keeps its own configuration.
-	composeStrategies(strategies, absolver.Config{})
+	portfolio.Compose(strategies, absolver.Config{})
 	if !strategies[restartIdx].Config.RestartBoolean {
 		t.Fatal("composition with zero base stripped the restart strategy's RestartBoolean")
 	}
@@ -116,7 +177,7 @@ func TestComposeStrategiesOR(t *testing.T) {
 	}
 
 	// All flags set: every strategy gains every restriction, keeping its own.
-	composeStrategies(strategies, absolver.Config{
+	portfolio.Compose(strategies, absolver.Config{
 		RestartBoolean: true, NoIIS: true, NoGroundLemmas: true, NoTheoryCache: true,
 	})
 	for _, s := range strategies {

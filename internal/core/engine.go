@@ -42,7 +42,8 @@ func (s Status) String() string {
 }
 
 // Config selects and tunes the sub-solvers — the paper's "most appropriate
-// solver for a given task can be integrated and used".
+// solver for a given task can be integrated and used". A Boolean field
+// with a `knob:"<flag>,<param>"` tag is an ablation knob (see Knobs).
 type Config struct {
 	// Bool is the propositional solver (default NewCDCLSolver).
 	Bool BoolSolver
@@ -54,13 +55,13 @@ type Config struct {
 	// iteration, reproducing the paper's external-restart overhead ("at
 	// the expense of the time required for restarting the entire solving
 	// process externally"). Incremental solving is the default.
-	RestartBoolean bool
+	RestartBoolean bool `knob:"restart,restart" help:"restart the Boolean solver per iteration"`
 	// NoIIS disables smallest-conflicting-subset refinement; conflicts
 	// block the complete atom assignment instead (ablation knob).
-	NoIIS bool
+	NoIIS bool `knob:"no-iis,no_iis" help:"disable conflict-set minimisation"`
 	// NoGroundLemmas disables the static pair-lemma grounding pass that
 	// seeds the Boolean skeleton with theory-valid clauses (ablation knob).
-	NoGroundLemmas bool
+	NoGroundLemmas bool `knob:"no-lemmas,no_lemmas" help:"disable theory-lemma grounding"`
 	// MaxIterations bounds SAT↔theory iterations (0 = 1e6).
 	MaxIterations int
 	// MaxNESplits bounds the disequality case-split tree per theory check
@@ -77,7 +78,7 @@ type Config struct {
 	// return StatusUnknown with an ErrModelRejected diagnostic instead of
 	// a silently wrong "sat". The cost is one extra evaluation pass per
 	// returned model — negligible next to the search that produced it.
-	CheckModels bool
+	CheckModels bool `knob:",check_models" help:"re-certify every SAT model independently"`
 	// RecordLemmas keeps a provenance-tagged log of every learned clause
 	// (ground pair lemmas, theory conflicts, lossy blocks, model blocks),
 	// retrievable via Engine.Lemmas. Used by testkit's UNSAT audit to
@@ -99,10 +100,10 @@ type Config struct {
 	// NoInprocess disables the Boolean solver's inprocessing passes
 	// (subsumption, failed-literal probing) when the solver supports the
 	// toggle (ablation knob; the differential suites run both sides).
-	NoInprocess bool
+	NoInprocess bool `knob:"no-inprocess" help:"disable SAT inprocessing (subsumption, failed-literal probing)"`
 	// NoTheoryCache disables the theory-verdict cache that memoises
 	// theoryCheck results per asserted-atom projection (ablation knob).
-	NoTheoryCache bool
+	NoTheoryCache bool `knob:"no-cache,no_cache" help:"disable the theory-verdict cache"`
 	// TheoryCacheSize caps the number of cached theory verdicts
 	// (0 = 8192). At capacity the cache is cleared and rebuilt.
 	TheoryCacheSize int
@@ -115,7 +116,7 @@ type Config struct {
 	// nonlinear solver left undecided. With the fallback on (the default),
 	// many would-be lossy blocks become definitive sat/unsat verdicts;
 	// this knob is the ablation switch and the escape hatch.
-	NoPolyAR bool
+	NoPolyAR bool `knob:"no-polyar,no_polyar" help:"disable the PolyAR abstraction-refinement fallback for undecided nonlinear checks"`
 	// PolyAR tunes the fallback's budgets (regions, workers, LP pivots);
 	// the zero value means polyar's defaults. Ignored when NoPolyAR.
 	PolyAR polyar.Options
@@ -145,6 +146,7 @@ const (
 	// to a definitive answer (Event.Regions/Pruned carry that call's
 	// refinement work; the rescued verdict follows as its own event).
 	EventPolyAR
+	numEventKinds
 )
 
 // String returns the kind's trace-line name.
@@ -166,29 +168,44 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
 
-// Event is one engine iteration report delivered to Config.Trace.
+// MarshalText renders the kind by name.
+func (k EventKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses a kind name.
+func (k *EventKind) UnmarshalText(b []byte) error {
+	for c := EventKind(0); c < numEventKinds; c++ {
+		if c.String() == string(b) {
+			*k = c
+			return nil
+		}
+	}
+	return fmt.Errorf("core: unknown event kind %q", b)
+}
+
+// Event is one engine iteration report delivered to Config.Trace. Its
+// json tags are the wire form of an absolverd stream trace line.
 type Event struct {
 	// Iteration is the 1-based SAT↔theory iteration number.
-	Iteration int
+	Iteration int `json:"iteration,omitempty"`
 	// Kind is the theory-check outcome.
-	Kind EventKind
+	Kind EventKind `json:"kind"`
 	// ClauseLen is the blocking-clause length (conflict kinds only).
-	ClauseLen int
+	ClauseLen int `json:"clause_len,omitempty"`
 	// Imported is the number of peer lemmas accepted (EventImport only).
-	Imported int
+	Imported int `json:"imported,omitempty"`
 	// CacheHit marks a theory verdict served from the theory-verdict cache
 	// instead of a solver run.
-	CacheHit bool
+	CacheHit bool `json:"cache_hit,omitempty"`
 	// Subsumed, Probed and Compactions carry the SAT inprocessing deltas of
 	// an EventInprocess: clauses subsumed or strengthened, failed-literal
 	// probes run, and arena compaction passes.
-	Subsumed    int64
-	Probed      int64
-	Compactions int64
+	Subsumed    int64 `json:"subsumed,omitempty"`
+	Probed      int64 `json:"probed,omitempty"`
+	Compactions int64 `json:"compactions,omitempty"`
 	// Regions and Pruned carry one EventPolyAR's refinement work: regions
 	// visited and regions discharged as solution-free.
-	Regions int
-	Pruned  int
+	Regions int `json:"regions,omitempty"`
+	Pruned  int `json:"pruned,omitempty"`
 }
 
 // TraceFunc receives engine iteration events. Callbacks run synchronously
@@ -235,130 +252,6 @@ func (c Config) withDefaults() Config {
 		c.MaxNESplits = 4096
 	}
 	return c
-}
-
-// Stats aggregates engine counters and per-stage wall time.
-type Stats struct {
-	Iterations      int
-	LinearChecks    int
-	NonlinearChecks int
-	ConflictClauses int
-	LossyBlocks     int
-	NESplits        int
-	// LemmasPublished counts theory-conflict clauses this engine offered to
-	// the lemma exchange that the store accepted (Config.Exchange).
-	LemmasPublished int
-	// LemmasImported counts peer lemmas this engine added to its Boolean
-	// skeleton.
-	LemmasImported int
-	// LemmasDeduped counts peer lemmas dropped because this engine already
-	// knew an equivalent clause.
-	LemmasDeduped int
-	// TheoryCacheHits counts theory checks answered from the verdict cache
-	// without running the linear/nonlinear solvers.
-	TheoryCacheHits int
-	// TheoryCacheMisses counts theory checks that ran the solvers and
-	// populated the cache.
-	TheoryCacheMisses int
-	// SessionSolves counts solve calls served through a Session (push/pop
-	// incremental solving). Session results carry per-call deltas, so each
-	// call contributes exactly 1 and merged stats count calls, not engines.
-	SessionSolves int
-	// ClausesSubsumed, ProbedLiterals and ArenaCompactions mirror the SAT
-	// solver's inprocessing/arena counters (clauses deleted or strengthened
-	// by subsumption, failed-literal probes run, mark-and-relocate passes).
-	// They are snapshots of the Boolean solver's cumulative counters taken
-	// after each Boolean query, so within one engine they are totals, and
-	// Merge sums them across engines like every other counter.
-	ClausesSubsumed  int64
-	ProbedLiterals   int64
-	ArenaCompactions int64
-	// NLPUnknown counts theory checks the penalty-descent/HC4 nonlinear
-	// solver left undecided (no verified witness, no refutation) — the
-	// engine's only unknown-prone verdict source and the denominator of
-	// the nonlinear-v2 north-star metric.
-	NLPUnknown int
-	// NLPUnknownRescued counts those undecided checks the PolyAR fallback
-	// converted into a definitive sat or unsat verdict.
-	NLPUnknownRescued int
-	// PolyARRegions, PolyARPruned and PolyARWitnesses total the fallback's
-	// refinement work: regions visited, regions discharged as
-	// solution-free, and verified SAT witnesses found.
-	PolyARRegions   int
-	PolyARPruned    int
-	PolyARWitnesses int
-	BoolTime        time.Duration
-	LinearTime      time.Duration
-	NonlinearTime   time.Duration
-	// WallTime is the engine's total wall-clock time inside Solve /
-	// SolveContext. In a portfolio run each engine reports its own
-	// WallTime; merged Stats carry the sum over engines (total work),
-	// which exceeds elapsed time when engines run in parallel.
-	WallTime time.Duration
-}
-
-// Merge accumulates o into s, summing every counter and duration. It is
-// how a portfolio run aggregates per-engine statistics: each engine
-// goroutine owns its Stats exclusively while solving, and Merge is called
-// only after that engine has delivered its result over a channel, so the
-// aggregation is race-free by construction (happens-before via channel
-// receive) without any locking in the hot solving paths.
-func (s *Stats) Merge(o Stats) {
-	s.Iterations += o.Iterations
-	s.LinearChecks += o.LinearChecks
-	s.NonlinearChecks += o.NonlinearChecks
-	s.ConflictClauses += o.ConflictClauses
-	s.LossyBlocks += o.LossyBlocks
-	s.NESplits += o.NESplits
-	s.LemmasPublished += o.LemmasPublished
-	s.LemmasImported += o.LemmasImported
-	s.LemmasDeduped += o.LemmasDeduped
-	s.TheoryCacheHits += o.TheoryCacheHits
-	s.TheoryCacheMisses += o.TheoryCacheMisses
-	s.SessionSolves += o.SessionSolves
-	s.ClausesSubsumed += o.ClausesSubsumed
-	s.ProbedLiterals += o.ProbedLiterals
-	s.ArenaCompactions += o.ArenaCompactions
-	s.NLPUnknown += o.NLPUnknown
-	s.NLPUnknownRescued += o.NLPUnknownRescued
-	s.PolyARRegions += o.PolyARRegions
-	s.PolyARPruned += o.PolyARPruned
-	s.PolyARWitnesses += o.PolyARWitnesses
-	s.BoolTime += o.BoolTime
-	s.LinearTime += o.LinearTime
-	s.NonlinearTime += o.NonlinearTime
-	s.WallTime += o.WallTime
-}
-
-// Counters returns the stats' integer counters keyed by stable snake_case
-// names — the aggregation hook for exporters (the absolverd /metrics
-// endpoint renders these as Prometheus counters). The key set is fixed:
-// every counter appears even when zero, so exporters emit a stable series
-// set. Durations are excluded; exporters derive timing series from the
-// *Time fields directly.
-func (s Stats) Counters() map[string]int64 {
-	return map[string]int64{
-		"iterations":          int64(s.Iterations),
-		"linear_checks":       int64(s.LinearChecks),
-		"nonlinear_checks":    int64(s.NonlinearChecks),
-		"conflict_clauses":    int64(s.ConflictClauses),
-		"lossy_blocks":        int64(s.LossyBlocks),
-		"ne_splits":           int64(s.NESplits),
-		"lemmas_published":    int64(s.LemmasPublished),
-		"lemmas_imported":     int64(s.LemmasImported),
-		"lemmas_deduped":      int64(s.LemmasDeduped),
-		"theory_cache_hits":   int64(s.TheoryCacheHits),
-		"theory_cache_misses": int64(s.TheoryCacheMisses),
-		"session_solves":      int64(s.SessionSolves),
-		"clauses_subsumed":    s.ClausesSubsumed,
-		"probed_literals":     s.ProbedLiterals,
-		"arena_compactions":   s.ArenaCompactions,
-		"nlp_unknown":         int64(s.NLPUnknown),
-		"nlp_unknown_rescued": int64(s.NLPUnknownRescued),
-		"polyar_regions":      int64(s.PolyARRegions),
-		"polyar_pruned":       int64(s.PolyARPruned),
-		"polyar_witnesses":    int64(s.PolyARWitnesses),
-	}
 }
 
 // Result is the outcome of Solve.

@@ -87,6 +87,16 @@ type Outcome struct {
 	Stats core.Stats
 }
 
+// Compose ORs base's ablation knobs (core.Knobs) onto every strategy's own
+// configuration and returns strategies. A strategy defined by a knob keeps
+// it when base leaves it off.
+func Compose(strategies []Strategy, base core.Config) []Strategy {
+	for i := range strategies {
+		strategies[i].Config.OrKnobs(base)
+	}
+	return strategies
+}
+
 // DefaultStrategies returns n distinct engine configurations for a race,
 // covering the engine's main strategic axes: conflict refinement (IIS on /
 // off), static lemma grounding, Boolean restart mode, and nonlinear search

@@ -5,9 +5,12 @@
 package api
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/url"
+	"reflect"
 	"strconv"
+	"strings"
 	"time"
 
 	"absolver/internal/core"
@@ -62,6 +65,54 @@ type SolveParams struct {
 	ExchangeNode string
 }
 
+// foldField returns the index of t's field named like the snake_case
+// name: underscores dropped, case ignored ("no_polyar" is NoPolyAR,
+// "wall_ms" is WallMS). It panics when there is none, which only a
+// declaration out of step with that convention can cause.
+func foldField(t reflect.Type, name string) int {
+	f, ok := t.FieldByNameFunc(func(n string) bool { return strings.EqualFold(n, strings.ReplaceAll(name, "_", "")) })
+	if !ok {
+		panic(fmt.Sprintf("api: %s has no field for %q", t.Name(), name))
+	}
+	return f.Index[0]
+}
+
+// knobFields maps each wire knob in core.Knobs to its SolveParams field.
+var knobFields = func() map[string]int {
+	m := map[string]int{}
+	for _, k := range core.Knobs {
+		if k.Param != "" {
+			m[k.Param] = foldField(reflect.TypeOf(SolveParams{}), k.Param)
+		}
+	}
+	return m
+}()
+
+// knob returns the SolveParams field of the wire knob param.
+func (p *SolveParams) knob(param string) *bool {
+	return reflect.ValueOf(p).Elem().Field(knobFields[param]).Addr().Interface().(*bool)
+}
+
+// Config returns the engine configuration the request's knobs select.
+func (p SolveParams) Config() core.Config {
+	var c core.Config
+	for _, k := range core.Knobs {
+		if k.Param != "" {
+			*k.Field(&c) = *p.knob(k.Param)
+		}
+	}
+	return c
+}
+
+// bools maps every Boolean query parameter to its field in p.
+func (p *SolveParams) bools() map[string]*bool {
+	m := map[string]*bool{"no_share": &p.NoShare, "stream": &p.Stream}
+	for param := range knobFields {
+		m[param] = p.knob(param)
+	}
+	return m
+}
+
 // Values renders the parameters as URL query values (zero fields are
 // omitted).
 func (p SolveParams) Values() url.Values {
@@ -72,19 +123,11 @@ func (p SolveParams) Values() url.Values {
 	if p.Portfolio > 0 {
 		v.Set("portfolio", strconv.Itoa(p.Portfolio))
 	}
-	setBool := func(key string, b bool) {
-		if b {
+	for key, b := range p.bools() {
+		if *b {
 			v.Set(key, "true")
 		}
 	}
-	setBool("no_share", p.NoShare)
-	setBool("restart", p.Restart)
-	setBool("no_iis", p.NoIIS)
-	setBool("no_lemmas", p.NoLemmas)
-	setBool("no_cache", p.NoCache)
-	setBool("no_polyar", p.NoPolyAR)
-	setBool("check_models", p.CheckModels)
-	setBool("stream", p.Stream)
 	if p.Timeout > 0 {
 		v.Set("timeout", p.Timeout.String())
 	}
@@ -116,31 +159,18 @@ func ParseParams(v url.Values) (SolveParams, error) {
 		}
 		p.Portfolio = n
 	}
-	getBool := func(key string, dst *bool) error {
+	for key, dst := range p.bools() {
 		s := v.Get(key)
 		if s == "" {
-			if _, present := v[key]; present {
-				// Bare "?restart" (no value) means true.
-				*dst = true
-			}
-			return nil
+			// Bare "?restart" (no value) means true.
+			_, *dst = v[key]
+			continue
 		}
 		b, err := strconv.ParseBool(s)
 		if err != nil {
-			return fmt.Errorf("bad %s %q: want a boolean", key, s)
+			return p, fmt.Errorf("bad %s %q: want a boolean", key, s)
 		}
 		*dst = b
-		return nil
-	}
-	for key, dst := range map[string]*bool{
-		"no_share": &p.NoShare, "restart": &p.Restart, "no_iis": &p.NoIIS,
-		"no_lemmas": &p.NoLemmas, "no_cache": &p.NoCache,
-		"no_polyar":    &p.NoPolyAR,
-		"check_models": &p.CheckModels, "stream": &p.Stream,
-	} {
-		if err := getBool(key, dst); err != nil {
-			return p, err
-		}
 	}
 	if s := v.Get("timeout"); s != "" {
 		d, err := time.ParseDuration(s)
@@ -157,88 +187,90 @@ func ParseParams(v url.Values) (SolveParams, error) {
 	return p, nil
 }
 
-// Stats is the JSON rendering of core.Stats (wall-clock fields in
-// milliseconds).
+// Stats is the JSON rendering of core.Stats: one key per core.StatFields
+// entry, counters under their name and durations in milliseconds under
+// "<name>_ms".
 type Stats struct {
-	Iterations        int     `json:"iterations"`
-	LinearChecks      int     `json:"linear_checks"`
-	NonlinearChecks   int     `json:"nonlinear_checks"`
-	ConflictClauses   int     `json:"conflict_clauses"`
-	LossyBlocks       int     `json:"lossy_blocks"`
-	NESplits          int     `json:"ne_splits"`
-	LemmasPublished   int     `json:"lemmas_published"`
-	LemmasImported    int     `json:"lemmas_imported"`
-	LemmasDeduped     int     `json:"lemmas_deduped"`
-	TheoryCacheHits   int     `json:"theory_cache_hits"`
-	TheoryCacheMisses int     `json:"theory_cache_misses"`
-	SessionSolves     int     `json:"session_solves,omitempty"`
-	NLPUnknown        int     `json:"nlp_unknown,omitempty"`
-	NLPUnknownRescued int     `json:"nlp_unknown_rescued,omitempty"`
-	PolyARRegions     int     `json:"polyar_regions,omitempty"`
-	PolyARPruned      int     `json:"polyar_pruned,omitempty"`
-	PolyARWitnesses   int     `json:"polyar_witnesses,omitempty"`
-	BoolMS            float64 `json:"bool_ms"`
-	LinearMS          float64 `json:"linear_ms"`
-	NonlinearMS       float64 `json:"nonlinear_ms"`
-	WallMS            float64 `json:"wall_ms"`
+	// Counters holds every core.Stats counter by name (core.Stats.Counters).
+	Counters map[string]int64
+	// The durations in milliseconds, one field per core.Stats duration
+	// named after its wire key ("wall_ms" is WallMS).
+	BoolMS      float64
+	LinearMS    float64
+	NonlinearMS float64
+	WallMS      float64
 }
+
+// msFields maps each core.Stats duration name to its Stats field.
+var msFields = func() map[string]int {
+	m := map[string]int{}
+	for _, f := range core.StatFields {
+		if f.Duration {
+			m[f.Name] = foldField(reflect.TypeOf(Stats{}), f.Name+"_ms")
+		}
+	}
+	return m
+}()
 
 // StatsFrom converts engine statistics to the wire form.
 func StatsFrom(s core.Stats) Stats {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	return Stats{
-		Iterations:        s.Iterations,
-		LinearChecks:      s.LinearChecks,
-		NonlinearChecks:   s.NonlinearChecks,
-		ConflictClauses:   s.ConflictClauses,
-		LossyBlocks:       s.LossyBlocks,
-		NESplits:          s.NESplits,
-		LemmasPublished:   s.LemmasPublished,
-		LemmasImported:    s.LemmasImported,
-		LemmasDeduped:     s.LemmasDeduped,
-		TheoryCacheHits:   s.TheoryCacheHits,
-		TheoryCacheMisses: s.TheoryCacheMisses,
-		SessionSolves:     s.SessionSolves,
-		NLPUnknown:        s.NLPUnknown,
-		NLPUnknownRescued: s.NLPUnknownRescued,
-		PolyARRegions:     s.PolyARRegions,
-		PolyARPruned:      s.PolyARPruned,
-		PolyARWitnesses:   s.PolyARWitnesses,
-		BoolMS:            ms(s.BoolTime),
-		LinearMS:          ms(s.LinearTime),
-		NonlinearMS:       ms(s.NonlinearTime),
-		WallMS:            ms(s.WallTime),
+	out := Stats{Counters: s.Counters()}
+	v := reflect.ValueOf(&out).Elem()
+	for _, f := range core.StatFields {
+		if f.Duration {
+			v.Field(msFields[f.Name]).SetFloat(float64(f.Get(&s)) / float64(time.Millisecond))
+		}
 	}
+	return out
 }
 
 // ToCore converts wire statistics back to engine form (the inverse of
 // StatsFrom, up to sub-millisecond truncation). A cluster coordinator uses
 // it to merge workers' reported counters into one engine-shaped total.
 func (s Stats) ToCore() core.Stats {
-	d := func(ms float64) time.Duration { return time.Duration(ms * float64(time.Millisecond)) }
-	return core.Stats{
-		Iterations:        s.Iterations,
-		LinearChecks:      s.LinearChecks,
-		NonlinearChecks:   s.NonlinearChecks,
-		ConflictClauses:   s.ConflictClauses,
-		LossyBlocks:       s.LossyBlocks,
-		NESplits:          s.NESplits,
-		LemmasPublished:   s.LemmasPublished,
-		LemmasImported:    s.LemmasImported,
-		LemmasDeduped:     s.LemmasDeduped,
-		TheoryCacheHits:   s.TheoryCacheHits,
-		TheoryCacheMisses: s.TheoryCacheMisses,
-		SessionSolves:     s.SessionSolves,
-		NLPUnknown:        s.NLPUnknown,
-		NLPUnknownRescued: s.NLPUnknownRescued,
-		PolyARRegions:     s.PolyARRegions,
-		PolyARPruned:      s.PolyARPruned,
-		PolyARWitnesses:   s.PolyARWitnesses,
-		BoolTime:          d(s.BoolMS),
-		LinearTime:        d(s.LinearMS),
-		NonlinearTime:     d(s.NonlinearMS),
-		WallTime:          d(s.WallMS),
+	var out core.Stats
+	v := reflect.ValueOf(s)
+	for _, f := range core.StatFields {
+		if f.Duration {
+			f.Set(&out, int64(v.Field(msFields[f.Name]).Float()*float64(time.Millisecond)))
+		} else {
+			f.Set(&out, s.Counters[f.Name])
+		}
 	}
+	return out
+}
+
+// MarshalJSON writes one flat object: the counters by name and the
+// durations as "<name>_ms".
+func (s Stats) MarshalJSON() ([]byte, error) {
+	m := make(map[string]any, len(s.Counters)+len(msFields))
+	for k, n := range s.Counters {
+		m[k] = n
+	}
+	v := reflect.ValueOf(s)
+	for name, i := range msFields {
+		m[name+"_ms"] = v.Field(i).Float()
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON reads the object MarshalJSON writes. Keys it does not
+// know as durations are kept as counters.
+func (s *Stats) UnmarshalJSON(b []byte) error {
+	var m map[string]float64
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
+	}
+	*s = Stats{Counters: make(map[string]int64, len(m))}
+	v := reflect.ValueOf(s).Elem()
+	for k, x := range m {
+		if i, ok := msFields[strings.TrimSuffix(k, "_ms")]; ok && strings.HasSuffix(k, "_ms") {
+			v.Field(i).SetFloat(x)
+		} else {
+			s.Counters[k] = int64(x)
+		}
+	}
+	return nil
 }
 
 // Model is the JSON rendering of a satisfying valuation.
@@ -301,15 +333,9 @@ const (
 // StreamEvent is one NDJSON line of a streaming solve.
 type StreamEvent struct {
 	Type string `json:"type"`
-	// Trace fields (Type == EventTrace), mirroring core.Event.
-	Iteration int    `json:"iteration,omitempty"`
-	Kind      string `json:"kind,omitempty"`
-	ClauseLen int    `json:"clause_len,omitempty"`
-	Imported  int    `json:"imported,omitempty"`
-	CacheHit  bool   `json:"cache_hit,omitempty"`
-	// Regions/Pruned carry a polyar event's refinement work.
-	Regions int `json:"regions,omitempty"`
-	Pruned  int `json:"pruned,omitempty"`
+	// Event is the engine trace event (Type == EventTrace), its fields
+	// inlined into the line by core.Event's json tags.
+	*core.Event
 	// Result is the final verdict (Type == EventResult).
 	Result *SolveResponse `json:"result,omitempty"`
 	// Error is the failure diagnostic (Type == EventError).
@@ -318,16 +344,7 @@ type StreamEvent struct {
 
 // TraceEvent converts an engine trace event to its stream form.
 func TraceEvent(ev core.Event) StreamEvent {
-	return StreamEvent{
-		Type:      EventTrace,
-		Iteration: ev.Iteration,
-		Kind:      ev.Kind.String(),
-		ClauseLen: ev.ClauseLen,
-		Imported:  ev.Imported,
-		CacheHit:  ev.CacheHit,
-		Regions:   ev.Regions,
-		Pruned:    ev.Pruned,
-	}
+	return StreamEvent{Type: EventTrace, Event: &ev}
 }
 
 // ---------------------------------------------------------------------------

@@ -152,24 +152,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 
-	s.mu.Lock()
-	if !s.started || s.draining {
-		s.mu.Unlock()
-		s.metrics.reject(rejectDraining)
-		w.Header().Set("Retry-After", s.retryAfterHint(true))
-		writeError(w, http.StatusServiceUnavailable, api.ExitUnknown, "server is draining")
-		return
-	}
-	select {
-	case s.queue <- j:
-		s.jobs.Add(1)
-		s.mu.Unlock()
-	default:
-		s.mu.Unlock()
-		s.metrics.reject(rejectQueueFull)
-		w.Header().Set("Retry-After", s.retryAfterHint(false))
-		writeError(w, http.StatusTooManyRequests, api.ExitUnknown,
-			"queue full (%d workers busy, %d queued)", s.cfg.Workers, cap(s.queue))
+	if !s.admit(w, j) {
 		return
 	}
 
@@ -211,13 +194,7 @@ func (s *Server) runBatch(j *job, wait time.Duration) {
 		}
 	}
 
-	sess, err := core.NewSession(j.problem, core.Config{
-		NoIIS:          j.params.NoIIS,
-		NoGroundLemmas: j.params.NoLemmas,
-		NoTheoryCache:  j.params.NoCache,
-		NoPolyAR:       j.params.NoPolyAR,
-		CheckModels:    j.params.CheckModels,
-	})
+	sess, err := core.NewSession(j.problem, j.params.Config())
 	if err != nil {
 		s.metrics.jobDone(verdictError, core.Stats{}, wait)
 		send(api.BatchEvent{Type: api.EventError, Error: err.Error()})

@@ -50,8 +50,8 @@ func TestBatchEndToEnd(t *testing.T) {
 	// The contradiction was frame-local: it must not leak into item 3, and
 	// each item reports exactly its own work (SessionSolves delta = 1).
 	for i, it := range items {
-		if it.Result != nil && it.Result.Stats.SessionSolves != 1 {
-			t.Fatalf("item %d SessionSolves = %d, want per-call delta 1", i, it.Result.Stats.SessionSolves)
+		if it.Result != nil && it.Result.Stats.ToCore().SessionSolves != 1 {
+			t.Fatalf("item %d SessionSolves = %d, want per-call delta 1", i, it.Result.Stats.ToCore().SessionSolves)
 		}
 	}
 
@@ -93,8 +93,8 @@ func TestBatchSessionReusesTheoryWork(t *testing.T) {
 	if first == nil || last == nil {
 		t.Fatalf("missing results: %+v", items)
 	}
-	if last.Stats.LinearChecks > first.Stats.LinearChecks {
-		t.Fatalf("no reuse: first %d linear checks, last %d", first.Stats.LinearChecks, last.Stats.LinearChecks)
+	if last.Stats.ToCore().LinearChecks > first.Stats.ToCore().LinearChecks {
+		t.Fatalf("no reuse: first %d linear checks, last %d", first.Stats.ToCore().LinearChecks, last.Stats.ToCore().LinearChecks)
 	}
 }
 

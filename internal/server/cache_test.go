@@ -43,7 +43,7 @@ func TestCacheHitOnCanonicallyIdenticalProblems(t *testing.T) {
 			t.Fatalf("variant %q: %v %+v", variant, err, resp)
 		}
 		// A cached answer replays the original response verbatim.
-		if resp.Stats.Iterations != first.Stats.Iterations {
+		if resp.Stats.ToCore().Iterations != first.Stats.ToCore().Iterations {
 			t.Fatalf("variant %q got fresh stats %+v, want cached %+v", variant, resp.Stats, first.Stats)
 		}
 	}

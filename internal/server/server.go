@@ -284,6 +284,10 @@ func (s *Server) retryAfterHint(draining bool) string {
 
 func (s *Server) runJob(j *job) {
 	defer s.jobs.Done()
+	// Closing done last (after the busy gauge drops and the metrics are
+	// recorded) means a client that has its answer finds the job in
+	// /metrics.
+	defer close(j.done)
 	s.busy.Add(1)
 	defer s.busy.Add(-1)
 	wait := time.Since(j.admitted)
@@ -298,7 +302,6 @@ func (s *Server) runJob(j *job) {
 	if j.batch != nil {
 		start := time.Now()
 		s.runBatch(j, wait)
-		close(j.done)
 		s.logf("absolverd: batch done instances=%d wait=%v run=%v",
 			len(j.batch.instances), wait, time.Since(start))
 		return
@@ -307,7 +310,6 @@ func (s *Server) runJob(j *job) {
 	if j.check != nil {
 		start := time.Now()
 		s.runCheckJob(j, wait)
-		close(j.done)
 		s.logf("absolverd: check done k=%d wait=%v run=%v",
 			j.check.params.K, wait, time.Since(start))
 		return
@@ -332,7 +334,6 @@ func (s *Server) runJob(j *job) {
 	if j.events != nil {
 		close(j.events)
 	}
-	close(j.done)
 
 	verdict := classify(j.outcome.Result.Status, j.err)
 	s.metrics.jobDone(verdict, j.outcome.Result.Stats, wait)
@@ -364,28 +365,11 @@ func (s *Server) solve(ctx context.Context, p *core.Problem, params api.SolvePar
 	if s.cfg.SolveFunc != nil {
 		return s.cfg.SolveFunc(ctx, p, params, trace)
 	}
-	base := core.Config{
-		RestartBoolean: params.Restart,
-		NoIIS:          params.NoIIS,
-		NoGroundLemmas: params.NoLemmas,
-		NoTheoryCache:  params.NoCache,
-		NoPolyAR:       params.NoPolyAR,
-		CheckModels:    params.CheckModels,
-	}
+	base := params.Config()
 	if params.Portfolio > 0 {
-		strategies := portfolio.DefaultStrategies(params.Portfolio)
 		// Knobs OR-compose onto every strategy's own configuration, as in
-		// the stand-alone tool: a strategy defined by a restriction keeps
-		// it even when the request doesn't ask for that restriction.
-		for i := range strategies {
-			c := &strategies[i].Config
-			c.RestartBoolean = c.RestartBoolean || base.RestartBoolean
-			c.NoIIS = c.NoIIS || base.NoIIS
-			c.NoGroundLemmas = c.NoGroundLemmas || base.NoGroundLemmas
-			c.NoTheoryCache = c.NoTheoryCache || base.NoTheoryCache
-			c.NoPolyAR = c.NoPolyAR || base.NoPolyAR
-			c.CheckModels = c.CheckModels || base.CheckModels
-		}
+		// the stand-alone tool.
+		strategies := portfolio.Compose(portfolio.DefaultStrategies(params.Portfolio), base)
 		// N interleaved engine traces are not readable; streaming a
 		// portfolio run emits only the final result event.
 		out := portfolio.SolveWith(ctx, p, strategies, portfolio.Options{NoShare: params.NoShare})
@@ -554,27 +538,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		j.events = make(chan core.Event, 64)
 	}
 
-	// Admission: the mutex closes the race against Shutdown (no job is
-	// admitted after draining is set), the non-blocking send implements
-	// the bounded queue.
-	s.mu.Lock()
-	if !s.started || s.draining {
-		s.mu.Unlock()
-		s.metrics.reject(rejectDraining)
-		w.Header().Set("Retry-After", s.retryAfterHint(true))
-		writeError(w, http.StatusServiceUnavailable, api.ExitUnknown, "server is draining")
-		return
-	}
-	select {
-	case s.queue <- j:
-		s.jobs.Add(1)
-		s.mu.Unlock()
-	default:
-		s.mu.Unlock()
-		s.metrics.reject(rejectQueueFull)
-		w.Header().Set("Retry-After", s.retryAfterHint(false))
-		writeError(w, http.StatusTooManyRequests, api.ExitUnknown,
-			"queue full (%d workers busy, %d queued)", s.cfg.Workers, cap(s.queue))
+	if !s.admit(w, j) {
 		return
 	}
 
@@ -596,6 +560,40 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// admit queues j, or answers the request with 503 (draining) or 429
+// (queue full) and reports false. The mutex closes the race against
+// Shutdown (no job is admitted after draining is set); the non-blocking
+// send implements the bounded queue. The job is counted before the send,
+// since a worker may finish it before the send returns.
+func (s *Server) admit(w http.ResponseWriter, j *job) bool {
+	s.mu.Lock()
+	draining, queued := !s.started || s.draining, false
+	if !draining {
+		s.jobs.Add(1)
+		select {
+		case s.queue <- j:
+			queued = true
+		default:
+			s.jobs.Done()
+		}
+	}
+	s.mu.Unlock()
+	switch {
+	case queued:
+		return true
+	case draining:
+		s.metrics.reject(rejectDraining)
+		w.Header().Set("Retry-After", s.retryAfterHint(true))
+		writeError(w, http.StatusServiceUnavailable, api.ExitUnknown, "server is draining")
+	default:
+		s.metrics.reject(rejectQueueFull)
+		w.Header().Set("Retry-After", s.retryAfterHint(false))
+		writeError(w, http.StatusTooManyRequests, api.ExitUnknown,
+			"queue full (%d workers busy, %d queued)", s.cfg.Workers, cap(s.queue))
+	}
+	return false
 }
 
 // buildResponse renders a finished job; a nil error response means HTTP 200.

@@ -60,7 +60,7 @@ func TestSolveVerdictsBothFormats(t *testing.T) {
 	if resp.Status != "sat" || resp.ExitCode != api.ExitSat || resp.Model == nil {
 		t.Fatalf("sat dimacs: %+v", resp)
 	}
-	if resp.Stats.Iterations == 0 {
+	if resp.Stats.ToCore().Iterations == 0 {
 		t.Fatalf("sat dimacs: stats not populated: %+v", resp.Stats)
 	}
 
@@ -186,7 +186,7 @@ func TestStreamingTrace(t *testing.T) {
 		t.Fatal("no trace events streamed before the result")
 	}
 	for _, ev := range events {
-		if ev.Type != api.EventTrace || ev.Iteration == 0 || ev.Kind == "" {
+		if ev.Type != api.EventTrace || ev.Event == nil || ev.Iteration == 0 {
 			t.Fatalf("bad trace event: %+v", ev)
 		}
 	}
@@ -211,16 +211,16 @@ func TestMetricsAfterKnownWorkload(t *testing.T) {
 		// verdict cache: only the first run's work reaches the engine
 		// counters (cached responses replay the original stats).
 		if i == 0 {
-			wantIterations += resp.Stats.Iterations
-			wantLinear += resp.Stats.LinearChecks
+			wantIterations += resp.Stats.ToCore().Iterations
+			wantLinear += resp.Stats.ToCore().LinearChecks
 		}
 	}
 	resp, err := c.Solve(ctx, unsatDIMACS, api.SolveParams{})
 	if err != nil || resp.Status != "unsat" {
 		t.Fatalf("unsat: %v %+v", err, resp)
 	}
-	wantIterations += resp.Stats.Iterations
-	wantLinear += resp.Stats.LinearChecks
+	wantIterations += resp.Stats.ToCore().Iterations
+	wantLinear += resp.Stats.ToCore().LinearChecks
 	if _, err := c.Solve(ctx, "garbage body", api.SolveParams{}); err == nil {
 		t.Fatal("garbage accepted")
 	}
