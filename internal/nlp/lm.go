@@ -11,9 +11,9 @@ import (
 // Marquardt) iterations on the violation residual vector. Gradient descent
 // converges only linearly near a solution of tight equalities; LM restores
 // the quadratic local convergence an interior-point solver like IPOPT has.
-// The returned point is at least as good as the input under the merit
-// function. evals counts merit evaluations.
-func polish(ctx context.Context, p *penalty, x expr.Env, box expr.Box, opt Options) (expr.Env, int) {
+// x is refined in place and returned, at least as good as on entry under
+// the merit function. evals counts merit evaluations.
+func polish(ctx context.Context, p *penalty, x []float64, opt Options) ([]float64, int) {
 	evals := 0
 	f, ok := p.eval(x)
 	evals++
@@ -21,11 +21,11 @@ func polish(ctx context.Context, p *penalty, x expr.Env, box expr.Box, opt Optio
 		return x, evals
 	}
 	lambda := 1e-3
-	vars := p.vars
-	n := len(vars)
+	n := len(p.cols)
 	if n == 0 {
 		return x, evals
 	}
+	trial := p.trial
 	for iter := 0; iter < 60; iter++ {
 		if f <= opt.Tol*opt.Tol {
 			return x, evals
@@ -38,8 +38,8 @@ func polish(ctx context.Context, p *penalty, x expr.Env, box expr.Box, opt Optio
 		var res []float64
 		for i := range p.terms {
 			t := &p.terms[i]
-			g, err := t.g.Eval(x)
-			if err != nil {
+			g, ok := t.g.Eval(x, p.stack)
+			if !ok {
 				return x, evals
 			}
 			v, dvdg := t.violation(g)
@@ -50,16 +50,12 @@ func polish(ctx context.Context, p *penalty, x expr.Env, box expr.Box, opt Optio
 				dvdg = 1
 			}
 			row := make([]float64, n)
-			for j, name := range vars {
-				dg, okG := t.grads[name]
-				if !okG {
-					continue
-				}
-				d, err := dg.Eval(x)
-				if err != nil {
+			for _, pd := range t.partials {
+				d, ok := pd.d.Eval(x, p.stack)
+				if !ok {
 					return x, evals
 				}
-				row[j] = dvdg * d
+				row[pd.col] = dvdg * d
 			}
 			rows = append(rows, row)
 			res = append(res, v)
@@ -106,23 +102,15 @@ func polish(ctx context.Context, p *penalty, x expr.Env, box expr.Box, opt Optio
 			copy(bd, b)
 			delta, ok := solveDense(ad, bd)
 			if ok {
-				trial := make(expr.Env, len(x))
-				for j, name := range vars {
-					t := x[name] + delta[j]
-					if iv, okb := box[name]; okb && !iv.IsEmpty() {
-						t = iv.Clamp(t)
-					}
-					trial[name] = t
-				}
-				for k, v := range x {
-					if _, present := trial[k]; !present {
-						trial[k] = v
-					}
+				copy(trial, x)
+				for j, s := range p.cols {
+					trial[s] = p.bounds[s].Clamp(x[s] + delta[j])
 				}
 				ft, okT := p.eval(trial)
 				evals++
 				if okT && ft < f {
-					x, f = trial, ft
+					copy(x, trial)
+					f = ft
 					lambda = math.Max(lambda/3, 1e-12)
 					improved = true
 					break

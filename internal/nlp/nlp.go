@@ -9,9 +9,14 @@
 //     projection). If the box becomes empty the conjunction is proved
 //     infeasible — a refutation IPOPT itself cannot produce, needed for the
 //     paper's nonlinear_unsat benchmark.
-//   - A multi-start penalty method with symbolic gradients and Armijo line
-//     search searches for a feasible witness, playing IPOPT's role of
-//     finding points satisfying smooth nonlinear systems.
+//   - A multi-start penalty method with Armijo line search searches for a
+//     feasible witness, playing IPOPT's role of finding points satisfying
+//     smooth nonlinear systems. Each atom's difference LHS − RHS and its
+//     symbolic partial derivatives are compiled once per solve to slot
+//     tapes (expr.Tape), so the descent and its Levenberg-Marquardt polish
+//     evaluate flat programs over []float64 vectors; expr.Expr.Eval stays
+//     the reference semantics, which the tapes reproduce bit for bit, and
+//     the witness is verified against the atoms themselves.
 //
 // Like the IPOPT-based original, the combination is incomplete: when
 // neither a witness nor a refutation is found within budget, the verdict is
@@ -175,41 +180,43 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) Result {
 		return Result{Status: Unknown, ContractedBox: box}
 	}
 
-	// Phase 2: multi-start penalty descent.
-	pen := newPenalty(p.Atoms, opt)
+	// Phase 2: multi-start penalty descent. The descent and the polish run
+	// on slot vectors; env carries each candidate to the verifier and the
+	// accepted one out as the witness.
+	pen := newPenalty(p, box, opt)
 	rng := rand.New(rand.NewSource(opt.Seed))
-	vars := p.Vars()
+	env := make(expr.Env, len(pen.vars))
 	evals := 0
 
 	for start := 0; start < opt.Starts; start++ {
 		if ctx.Err() != nil {
 			return Result{Status: Unknown, ContractedBox: box, Evals: evals}
 		}
-		x := samplePoint(vars, box, rng, opt.DefaultRange, start)
-		x, e := descend(ctx, pen, x, box, opt)
+		samplePoint(pen.x, pen.vars, box, rng, opt.DefaultRange, start)
+		x, e := descend(ctx, pen, opt)
 		evals += e
 		if x == nil {
 			continue
 		}
-		if verify(p.Atoms, x, opt) {
-			return Result{Status: Feasible, X: x, ContractedBox: box, Evals: evals}
+		if Verify(p.Atoms, pen.fillEnv(env, x), opt.StrictMargin, opt.Tol) {
+			return Result{Status: Feasible, X: env, ContractedBox: box, Evals: evals}
 		}
 		// Gradient descent gets close; Levenberg-Marquardt finishes the job
 		// on tight (near-)equalities.
-		x, e = polish(ctx, pen, x, box, opt)
+		x, e = polish(ctx, pen, x, opt)
 		evals += e
-		if verify(p.Atoms, x, opt) {
-			return Result{Status: Feasible, X: x, ContractedBox: box, Evals: evals}
+		if Verify(p.Atoms, pen.fillEnv(env, x), opt.StrictMargin, opt.Tol) {
+			return Result{Status: Feasible, X: env, ContractedBox: box, Evals: evals}
 		}
 	}
 	return Result{Status: Unknown, ContractedBox: box, Evals: evals}
 }
 
-// samplePoint draws a start point. The first start uses box midpoints (a
-// good deterministic guess); later starts are uniform in the clamped box.
-func samplePoint(vars []string, box expr.Box, rng *rand.Rand, rangeClamp float64, start int) expr.Env {
-	x := make(expr.Env, len(vars))
-	for _, v := range vars {
+// samplePoint draws a start point into x, one value per variable of vars.
+// The first start uses box midpoints (a good deterministic guess); later
+// starts are uniform in the clamped box.
+func samplePoint(x []float64, vars []string, box expr.Box, rng *rand.Rand, rangeClamp float64, start int) {
+	for i, v := range vars {
 		iv := box[v]
 		lo, hi := iv.Lo, iv.Hi
 		if math.IsInf(lo, -1) {
@@ -222,36 +229,30 @@ func samplePoint(vars []string, box expr.Box, rng *rand.Rand, rangeClamp float64
 			lo, hi = hi, lo
 		}
 		if start == 0 {
-			x[v] = lo + (hi-lo)/2
+			x[i] = lo + (hi-lo)/2
 		} else {
-			x[v] = lo + rng.Float64()*(hi-lo)
+			x[i] = lo + rng.Float64()*(hi-lo)
 		}
 	}
-	return x
 }
 
-// verify checks a candidate witness against every atom: non-strict atoms
-// within Tol, strict atoms and disequalities with a real margin.
-func verify(atoms []expr.Atom, x expr.Env, opt Options) bool {
+// Verify is the one witness-acceptance rule of the nonlinear solvers: env
+// is accepted iff every atom holds, strict atoms clearing their bound by
+// strictMargin/2, disequalities by the same margin on either side, and
+// all other atoms within tol.
+func Verify(atoms []expr.Atom, env expr.Env, strictMargin, tol float64) bool {
 	for _, a := range atoms {
+		t := tol
 		switch a.Op {
 		case expr.CmpLT, expr.CmpGT:
 			// Negative tolerance demands a real margin below/above the bound.
-			ok, err := a.HoldsTol(x, -opt.StrictMargin/2)
-			if err != nil || !ok {
-				return false
-			}
+			t = -strictMargin / 2
 		case expr.CmpNE:
 			// Positive tolerance on ≠ demands |l−r| beyond the margin.
-			ok, err := a.HoldsTol(x, opt.StrictMargin/2)
-			if err != nil || !ok {
-				return false
-			}
-		default:
-			ok, err := a.HoldsTol(x, opt.Tol)
-			if err != nil || !ok {
-				return false
-			}
+			t = strictMargin / 2
+		}
+		if ok, err := a.HoldsTol(env, t); err != nil || !ok {
+			return false
 		}
 	}
 	return true

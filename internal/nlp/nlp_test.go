@@ -2,6 +2,7 @@ package nlp
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"absolver/internal/expr"
@@ -249,4 +250,70 @@ func TestSteeringLikeSystem(t *testing.T) {
 	}
 	r := Solve(p, Options{Starts: 80})
 	requireFeasible(t, r, p.Atoms)
+}
+
+func TestSingularityNudgeStaysInBox(t *testing.T) {
+	// The midpoint x = 0 is a pole of 1/x, so the descent nudges every
+	// coordinate by 1e-3 — which must not push the point-box y = 3 out of
+	// its box, since verification checks the atoms only.
+	box := expr.Box{"x": interval.New(-1, 1), "y": interval.New(3, 3)}
+	r := solveAtoms(t, box, "1 / x + y >= 0")
+	if r.Status != Feasible {
+		t.Fatalf("status = %v, want feasible", r.Status)
+	}
+	for v, iv := range box {
+		if !iv.Contains(r.X[v]) {
+			t.Fatalf("witness %s = %v outside its box %v", v, r.X[v], iv)
+		}
+	}
+}
+
+func TestVerifyMargins(t *testing.T) {
+	env := expr.Env{"x": 1}
+	cases := []struct {
+		src  string
+		want bool
+	}{
+		{"x <= 1", true},
+		{"x <= 1 - 1e-9", true}, // within Tol
+		{"x <= 1 - 1e-7", false},
+		{"x < 1", false}, // strict: must clear the bound
+		{"x < 1 + 1e-6", true},
+		{"x > 1 - 4e-7", false},
+		{"x != 1 + 4e-7", false}, // ≠: must differ by more than the margin
+		{"x != 1 + 1e-6", true},
+		{"y >= 0", false}, // unbound variable
+	}
+	for _, c := range cases {
+		if got := Verify([]expr.Atom{atom(t, c.src)}, env, 1e-6, 1e-8); got != c.want {
+			t.Errorf("Verify(%s) at x=1 = %v, want %v", c.src, got, c.want)
+		}
+	}
+}
+
+func TestConcurrentSolvesAgree(t *testing.T) {
+	// Each solve owns its compiled penalty and scratch vectors, so
+	// concurrent solves of one shared problem (as the portfolio runs them)
+	// neither race nor perturb each other's trajectories.
+	p := &Problem{Box: expr.Box{"x": interval.New(-3, 3), "y": interval.New(-3, 3)}}
+	p.Atoms = []expr.Atom{atom(t, "x * x + y * y = 4"), atom(t, "sin(x) * y >= 0.5")}
+	want := Solve(p, Options{})
+	if want.Status != Feasible {
+		t.Fatalf("status = %v, want feasible", want.Status)
+	}
+	results := make([]Result, 4)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i] = Solve(p, Options{})
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range results {
+		if r.Status != want.Status || r.Evals != want.Evals || r.X["x"] != want.X["x"] || r.X["y"] != want.X["y"] {
+			t.Errorf("solve %d: %v evals=%d x=%v, want %v evals=%d x=%v", i, r.Status, r.Evals, r.X, want.Status, want.Evals, want.X)
+		}
+	}
 }

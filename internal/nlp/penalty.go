@@ -3,47 +3,88 @@ package nlp
 import (
 	"context"
 	"math"
-	"sort"
 
 	"absolver/internal/expr"
+	"absolver/internal/interval"
 )
 
 // penalty is the smooth(ish) merit function Σ vᵢ(x)² over the atoms, where
-// vᵢ measures atom i's violation, together with its symbolic gradient.
+// vᵢ measures atom i's violation, together with its symbolic gradient,
+// both compiled once to slot tapes. Slot i holds the i-th of the problem's
+// sorted variables. A penalty owns the scratch vectors the descent and
+// the polish run on, so it serves one solve at a time.
 type penalty struct {
 	terms []penaltyTerm
-	vars  []string
+	// vars names the slots: the problem's sorted variables.
+	vars []string
+	// bounds is each slot's box interval, Whole where the box leaves the
+	// variable unconstrained.
+	bounds []interval.Interval
+	// cols lists the slots the atoms mention, in first-seen order: the
+	// columns of polish's Jacobian.
+	cols []int
+	// Scratch: the current point, a line-search trial point, the
+	// gradient, and the tapes' evaluation stack.
+	x, trial, grad, stack []float64
 }
 
 // penaltyTerm holds one atom's normalised difference g = LHS − RHS, the
-// violation shape, and ∂g/∂v for each variable.
+// violation shape, and ∂g/∂v for each variable g mentions.
 type penaltyTerm struct {
-	g        expr.Expr
+	g        *expr.Tape
 	op       expr.CmpOp
-	grads    map[string]expr.Expr
+	partials []partial
 	margin   float64
 	interior float64
 }
 
-func newPenalty(atoms []expr.Atom, opt Options) *penalty {
-	p := &penalty{}
-	seen := map[string]struct{}{}
-	for _, a := range atoms {
+// partial is ∂g/∂v for the variable in slot, which is Jacobian column col.
+type partial struct {
+	slot, col int
+	d         *expr.Tape
+}
+
+// newPenalty compiles the merit function of p's atoms over p's sorted
+// variables, clamping line-search points into box.
+func newPenalty(p *Problem, box expr.Box, opt Options) *penalty {
+	vars := p.Vars()
+	pen := &penalty{vars: vars, bounds: make([]interval.Interval, len(vars))}
+	slot := make(map[string]int, len(vars))
+	for i, v := range vars {
+		slot[v] = i
+		pen.bounds[i] = interval.Whole()
+		if iv, ok := box[v]; ok && !iv.IsEmpty() {
+			pen.bounds[i] = iv
+		}
+	}
+	col := map[int]int{}
+	depth := 0
+	for _, a := range p.Atoms {
 		g := expr.Simplify(a.Diff())
 		t := penaltyTerm{
-			g: g, op: a.Op, grads: map[string]expr.Expr{},
+			g: expr.Compile(g, slot), op: a.Op,
 			margin: opt.StrictMargin, interior: opt.InteriorMargin,
 		}
+		depth = max(depth, t.g.Depth())
 		for _, v := range expr.Vars(g) {
-			t.grads[v] = expr.Simplify(g.Diff(v))
-			if _, ok := seen[v]; !ok {
-				seen[v] = struct{}{}
-				p.vars = append(p.vars, v)
+			s := slot[v]
+			c, ok := col[s]
+			if !ok {
+				c = len(pen.cols)
+				col[s] = c
+				pen.cols = append(pen.cols, s)
 			}
+			d := expr.Compile(expr.Simplify(g.Diff(v)), slot)
+			depth = max(depth, d.Depth())
+			t.partials = append(t.partials, partial{slot: s, col: c, d: d})
 		}
-		p.terms = append(p.terms, t)
+		pen.terms = append(pen.terms, t)
 	}
-	return p
+	pen.x = make([]float64, len(vars))
+	pen.trial = make([]float64, len(vars))
+	pen.grad = make([]float64, len(vars))
+	pen.stack = make([]float64, depth)
+	return pen
 }
 
 // violation returns v(g) ≥ 0 and dv/dg for the term's comparison shape.
@@ -81,11 +122,11 @@ func (t *penaltyTerm) violation(g float64) (v, dvdg float64) {
 
 // eval computes F(x) = Σ v² ; ok=false at points outside g's domain
 // (division by zero etc.), treated as +∞ by the line search.
-func (p *penalty) eval(x expr.Env) (float64, bool) {
+func (p *penalty) eval(x []float64) (float64, bool) {
 	f := 0.0
 	for i := range p.terms {
-		g, err := p.terms[i].g.Eval(x)
-		if err != nil {
+		g, ok := p.terms[i].g.Eval(x, p.stack)
+		if !ok {
 			return math.Inf(1), false
 		}
 		v, _ := p.terms[i].violation(g)
@@ -94,15 +135,16 @@ func (p *penalty) eval(x expr.Env) (float64, bool) {
 	return f, true
 }
 
-// grad computes ∇F(x). Terms whose gradient evaluation fails contribute
-// nothing (their violation spike is handled by the line search's domain
-// rejection).
-func (p *penalty) grad(x expr.Env) map[string]float64 {
-	out := make(map[string]float64, len(p.vars))
+// gradient computes ∇F(x) into p.grad. Terms whose gradient evaluation
+// fails contribute nothing (their violation spike is handled by the line
+// search's domain rejection).
+func (p *penalty) gradient(x []float64) []float64 {
+	out := p.grad
+	clear(out)
 	for i := range p.terms {
 		t := &p.terms[i]
-		g, err := t.g.Eval(x)
-		if err != nil {
+		g, ok := t.g.Eval(x, p.stack)
+		if !ok {
 			continue
 		}
 		v, dvdg := t.violation(g)
@@ -112,33 +154,40 @@ func (p *penalty) grad(x expr.Env) map[string]float64 {
 			}
 		}
 		scale := 2 * v * dvdg
-		for name, dg := range t.grads {
-			d, err := dg.Eval(x)
-			if err != nil {
+		for _, pd := range t.partials {
+			d, ok := pd.d.Eval(x, p.stack)
+			if !ok {
 				continue
 			}
-			out[name] += scale * d
+			out[pd.slot] += scale * d
 		}
 	}
 	return out
 }
 
-// descend runs projected gradient descent with Armijo backtracking from x0.
-// The returned point is the best found (possibly not feasible); evals
-// counts merit evaluations. ctx is polled once per iteration; on
-// cancellation the current best point is returned immediately.
-func descend(ctx context.Context, p *penalty, x0 expr.Env, box expr.Box, opt Options) (expr.Env, int) {
-	x := make(expr.Env, len(x0))
-	for k, v := range x0 {
-		x[k] = v
+// fillEnv writes the slot vector x into env under the variables' names.
+func (p *penalty) fillEnv(env expr.Env, x []float64) expr.Env {
+	for i, v := range p.vars {
+		env[v] = x[i]
 	}
+	return env
+}
+
+// descend runs projected gradient descent with Armijo backtracking from
+// the start point in p.x, in place. The returned point (p.x, or nil when
+// the start and its nudge are both outside the merit function's domain)
+// is the best found, possibly not feasible; evals counts merit
+// evaluations. ctx is polled once per iteration; on cancellation the
+// current best point is returned immediately.
+func descend(ctx context.Context, p *penalty, opt Options) ([]float64, int) {
+	x, trial := p.x, p.trial
 	evals := 0
 	f, ok := p.eval(x)
 	evals++
 	if !ok {
-		// Nudge off the singularity.
-		for k := range x {
-			x[k] += 1e-3
+		// Nudge off the singularity, staying inside the box.
+		for i := range x {
+			x[i] = p.bounds[i].Clamp(x[i] + 1e-3)
 		}
 		f, ok = p.eval(x)
 		evals++
@@ -153,18 +202,12 @@ func descend(ctx context.Context, p *penalty, x0 expr.Env, box expr.Box, opt Opt
 		if ctx.Err() != nil {
 			return x, evals
 		}
-		g := p.grad(x)
-		// Sum in sorted key order: map iteration order would otherwise
-		// perturb the floating-point total between runs, making the whole
-		// descent trajectory (and hence the witness) nondeterministic.
-		names := make([]string, 0, len(g))
-		for k := range g {
-			names = append(names, k)
-		}
-		sort.Strings(names)
+		g := p.gradient(x)
+		// Slots are in sorted variable order, so the floating-point total
+		// (and hence the whole trajectory) is deterministic.
 		norm2 := 0.0
-		for _, k := range names {
-			norm2 += g[k] * g[k]
+		for _, d := range g {
+			norm2 += d * d
 		}
 		if norm2 < 1e-24 {
 			return x, evals // stationary (possibly a local minimum > 0)
@@ -176,18 +219,14 @@ func descend(ctx context.Context, p *penalty, x0 expr.Env, box expr.Box, opt Opt
 		}
 		improved := false
 		for back := 0; back < 50; back++ {
-			trial := make(expr.Env, len(x))
-			for k, v := range x {
-				t := v - step*g[k]
-				if iv, okb := box[k]; okb && !iv.IsEmpty() {
-					t = iv.Clamp(t)
-				}
-				trial[k] = t
+			for i, v := range x {
+				trial[i] = p.bounds[i].Clamp(v - step*g[i])
 			}
 			ft, okT := p.eval(trial)
 			evals++
 			if okT && ft <= f-1e-4*step*norm2 {
-				x, f = trial, ft
+				copy(x, trial)
+				f = ft
 				improved = true
 				break
 			}

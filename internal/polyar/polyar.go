@@ -394,27 +394,14 @@ func (s *solver) projected(x map[string]float64, box expr.Box) expr.Env {
 	return env
 }
 
-// verify accepts env as a witness iff every original atom holds with the
-// same margins nlp's verifier demands (strict atoms and disequalities
-// clear the bound by StrictMargin/2, weak atoms within Tol), so the
-// engine's own model certification accepts it too.
+// verify returns env if it is a witness under nlp.Verify, the same
+// acceptance rule the penalty solver applies, so the engine's own model
+// certification accepts it too; nil otherwise.
 func (s *solver) verify(env expr.Env) expr.Env {
-	for _, a := range s.atoms {
-		var ok bool
-		var err error
-		switch a.Op {
-		case expr.CmpLT, expr.CmpGT:
-			ok, err = a.HoldsTol(env, -s.opt.StrictMargin/2)
-		case expr.CmpNE:
-			ok, err = a.HoldsTol(env, s.opt.StrictMargin/2)
-		default:
-			ok, err = a.HoldsTol(env, s.opt.Tol)
-		}
-		if err != nil || !ok {
-			return nil
-		}
+	if nlp.Verify(s.atoms, env, s.opt.StrictMargin, s.opt.Tol) {
+		return env
 	}
-	return env
+	return nil
 }
 
 // bisectVar picks the widest-relative-width variable still worth
