@@ -12,8 +12,9 @@
 //	BenchmarkFig1*     — the Fig. 1/2/3 example pipeline
 //	BenchmarkAblation* — design-choice ablations (DESIGN.md Sec. 5)
 //
-// The abbench command prints the same measurements in the papers' table
+// The abbench command prints the Table 1-3 measurements in the paper's
 // layouts; EXPERIMENTS.md records a full paper-vs-measured comparison.
+// TestIncrementalSessionBudget gates the incremental-session ablation.
 package absolver_test
 
 import (
@@ -371,30 +372,96 @@ func BenchmarkAblationSudokuEncoding(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationIncremental quantifies the incremental-session win on
-// the workload sessions exist for: a sweep of near-identical reachability
-// queries ("process 1 in its critical section at step t") over one Fischer
-// unrolling. Cold solves every query with a fresh engine on a flattened
-// problem; session answers the same sweep over one warm core.Session
-// (push/assert/solve/pop), so learned clauses and theory verdicts carry
-// over. abbench -table incr prints the same sweep with per-query theory-
-// check counts (archived as BENCH_6.json).
-func BenchmarkAblationIncremental(b *testing.B) {
+// fischerCSSweep builds the FISCHER2 critical-section ("cs") sweep: the
+// unrolled problem and one query literal per unrolling step t, "process 1
+// is in its critical section at step t". A query asserts its literal as a
+// unit clause on top of the problem.
+func fischerCSSweep(tb testing.TB) (*core.Problem, []int) {
+	tb.Helper()
 	in := fischer.Generate(fischer.Params{N: 2})
 	var lits []int
 	for t := 1; t <= in.Params.Steps; t++ {
 		v, ok := in.Var(fmt.Sprintf("loc/1/%d/cs", t))
 		if !ok {
-			b.Fatalf("no cs variable for step %d", t)
+			tb.Fatalf("no cs variable for step %d", t)
 		}
 		lits = append(lits, v)
 	}
+	return in.Problem, lits
+}
+
+// incrBudget bounds the session sweep's theory checks as a fraction of the
+// cold sweep's. The measured ratio is 72/205 ≈ 0.35; the bound leaves
+// room for small shifts in search order but fails if sessions stop
+// carrying learned clauses and theory verdicts across frames.
+const incrBudget = 0.46
+
+// TestIncrementalSessionBudget answers the cs sweep cold (a fresh engine
+// per query) and over one warm core.Session (push/assert/solve/pop). Each
+// query's session verdict must equal its cold verdict, and the session
+// sweep must pay at most incrBudget times the cold sweep's theory checks.
+func TestIncrementalSessionBudget(t *testing.T) {
+	prob, lits := fischerCSSweep(t)
+
+	cold := make([]core.Status, len(lits))
+	coldChecks := 0
+	for i, lit := range lits {
+		p := prob.Clone()
+		p.AddClause(lit)
+		res, err := core.NewEngine(p, core.Config{}).Solve()
+		if err != nil {
+			t.Fatalf("cold cs@%d: %v", i+1, err)
+		}
+		cold[i] = res.Status
+		coldChecks += res.Stats.LinearChecks + res.Stats.NonlinearChecks
+	}
+
+	sess, err := core.NewSession(prob, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessionChecks := 0
+	for i, lit := range lits {
+		sess.Push()
+		if err := sess.AssertClause(lit); err != nil {
+			t.Fatal(err)
+		}
+		res, err := sess.Solve(context.Background())
+		if err != nil {
+			t.Fatalf("session cs@%d: %v", i+1, err)
+		}
+		if err := sess.Pop(); err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != cold[i] {
+			t.Fatalf("cs@%d: session %v vs cold %v", i+1, res.Status, cold[i])
+		}
+		sessionChecks += res.Stats.LinearChecks + res.Stats.NonlinearChecks
+	}
+
+	ratio := float64(sessionChecks) / float64(coldChecks)
+	t.Logf("theory checks: session=%d cold=%d (ratio %.2f, budget %.2f)",
+		sessionChecks, coldChecks, ratio, incrBudget)
+	if float64(sessionChecks) > incrBudget*float64(coldChecks) {
+		t.Fatalf("session sweep regressed: %d theory checks vs %d cold exceeds budget ratio %.2f",
+			sessionChecks, coldChecks, incrBudget)
+	}
+}
+
+// BenchmarkAblationIncremental quantifies the incremental-session win on
+// the cs sweep. Cold solves every query with a fresh engine on a
+// flattened problem; session answers the same sweep over one warm
+// core.Session (push/assert/solve/pop), so learned clauses and theory
+// verdicts carry over. TestIncrementalSessionBudget gates the theory-check
+// ratio between the two.
+func BenchmarkAblationIncremental(b *testing.B) {
+	prob, lits := fischerCSSweep(b)
 	b.Run("cold", func(b *testing.B) {
 		checks := 0
 		for i := 0; i < b.N; i++ {
 			for _, lit := range lits {
 				b.StopTimer()
-				p := in.Problem.Clone()
+				p := prob.Clone()
 				p.AddClause(lit)
 				b.StartTimer()
 				res, err := core.NewEngine(p, core.Config{}).Solve()
@@ -410,7 +477,7 @@ func BenchmarkAblationIncremental(b *testing.B) {
 		checks := 0
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
-			sess, err := core.NewSession(in.Problem, core.Config{})
+			sess, err := core.NewSession(prob, core.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -437,8 +504,8 @@ func BenchmarkAblationIncremental(b *testing.B) {
 // BenchmarkAblationCheckSession quantifies the model checker's warm-
 // session unrolling against the cold per-depth baseline on the steering
 // case study (the paper's critical-scenario search posed as falsifying
-// "G ok"). abbench -table check prints the full sweep including the
-// Fischer protocol variants (archived as BENCH_8.json).
+// "G ok"). perfbench's check workload measures the warm checker on the
+// Fischer protocol variants as well.
 func BenchmarkAblationCheckSession(b *testing.B) {
 	run := func(b *testing.B, cold bool) {
 		var checks float64

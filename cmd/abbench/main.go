@@ -3,29 +3,12 @@
 //	abbench -table 1            # nonlinear problems (Table 1)
 //	abbench -table 2 -maxn 11   # SMT-LIB / Fischer benchmarks (Table 2)
 //	abbench -table 3            # Sudoku puzzles (Table 3)
-//	abbench -table incr         # incremental-session ablation (PR 6)
-//	abbench -table sat          # SAT-core arena/inprocessing ablation (PR 7)
-//	abbench -table check        # model-checking warm/cold ablation (PR 8)
-//	abbench -table cluster      # cube-and-conquer cluster ablation (PR 9)
-//	abbench -table nlp          # PolyAR nonlinear-fallback ablation (PR 10)
-//	abbench -table all
-//	abbench -table all -json    # machine-readable rows (CI artifact)
-//
-// With -json the selected tables are emitted as a single JSON array of
-// per-solver rows (instance, verdict, wall time, theory checks) instead of
-// the human-readable layout; table 2's progress lines move to stderr so
-// stdout stays valid JSON. CI archives this output as BENCH_5.json.
-//
-// -baseline FILE loads a previously committed artifact (BENCH_7.json) and
-// matches its "absolver-pre-arena" rows by instance name so the sat table
-// prints old-core-vs-new-core columns and re-emits the baseline rows in
-// its JSON output. -incr-budget R turns the incremental ablation into a CI
-// gate: if the session sweep needs more than R times the cold sweep's
-// theory checks the run exits with status 3.
+//	abbench -table all          # Tables 1-3
 //
 // Absolute times will differ from the 2006 publication (different hardware
 // and reimplemented solvers); the shapes — who wins, who rejects, who runs
-// out of memory — are the reproduction target (see EXPERIMENTS.md).
+// out of memory — are the reproduction target (see EXPERIMENTS.md). The
+// repeated, per-layer measurements live in the perfbench module.
 package main
 
 import (
@@ -38,17 +21,10 @@ import (
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: 1, 2, 3, incr, sat, check, cluster, nlp, or all")
+	table := flag.String("table", "all", "which table to regenerate: 1, 2, 3, or all")
 	maxN := flag.Int("maxn", 11, "largest Fischer instance for table 2")
-	incrN := flag.Int("incr-n", 2, "Fischer process count for the incremental-session ablation")
-	clusterN := flag.Int("cluster-n", 3, "Fischer process count for the cluster ablation")
-	clusterPeers := flag.Int("cluster-peers", 2, "loopback worker servers for the cluster ablation")
-	nlpRows := flag.Int("nlp-rows", 12, "instances kept for the PolyAR nonlinear ablation")
 	timeout := flag.Duration("timeout", 120*time.Second, "per-solver timeout per instance")
 	cvcMem := flag.Int64("cvc-mem", 32<<20, "CVCLiteLike proof-memory budget in bytes (table 3)")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON rows instead of tables")
-	baseline := flag.String("baseline", "", "prior -json artifact supplying old-core rows for the sat table")
-	incrBudget := flag.Float64("incr-budget", 0, "fail (exit 3) if session theory checks exceed this ratio of cold checks (0 disables)")
 	flag.Parse()
 
 	fail := func(err error) {
@@ -56,47 +32,20 @@ func main() {
 		os.Exit(1)
 	}
 
-	var baseRows []bench.JSONRow
-	if *baseline != "" {
-		f, err := os.Open(*baseline)
-		if err != nil {
-			fail(err)
-		}
-		baseRows, err = bench.ReadJSON(f)
-		f.Close()
-		if err != nil {
-			fail(err)
-		}
-	}
-
-	var jsonRows []bench.JSONRow
-
 	run1 := func() {
 		rows, err := bench.RunTable1(*timeout)
 		if err != nil {
 			fail(err)
 		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONTable1(rows)...)
-			return
-		}
 		fmt.Println(bench.FormatTable1(rows))
 	}
 	run2 := func() {
-		progress := os.Stdout
-		if *jsonOut {
-			progress = os.Stderr
-		}
 		rows, err := bench.RunTable2(*maxN, *timeout, func(r bench.Table2Row) {
-			fmt.Fprintf(progress, "# %-24s absolver=%-16s cvclite=%-16s mathsat=%-16s\n",
+			fmt.Printf("# %-24s absolver=%-16s cvclite=%-16s mathsat=%-16s\n",
 				r.Name, r.ABsolver, r.CVCLite, r.MathSAT)
 		})
 		if err != nil {
 			fail(err)
-		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONTable2(rows)...)
-			return
 		}
 		fmt.Println(bench.FormatTable2(rows))
 	}
@@ -105,81 +54,7 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONTable3(rows)...)
-			return
-		}
 		fmt.Println(bench.FormatTable3(rows))
-	}
-
-	runIncr := func() {
-		rows, err := bench.RunIncremental(*incrN, *timeout)
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONIncremental(rows)...)
-		} else {
-			fmt.Println(bench.FormatIncremental(rows))
-		}
-		if *incrBudget > 0 {
-			cold, session := bench.IncrementalTotals(rows)
-			if float64(session) > *incrBudget*float64(cold) {
-				fmt.Fprintf(os.Stderr, "abbench: incremental ablation regressed: session=%d cold=%d checks exceeds budget ratio %.2f\n",
-					session, cold, *incrBudget)
-				os.Exit(3)
-			}
-			fmt.Fprintf(os.Stderr, "# incr budget ok: session=%d cold=%d (ratio %.2f <= %.2f)\n",
-				session, cold, float64(session)/float64(cold), *incrBudget)
-		}
-	}
-
-	runCheck := func() {
-		rows, err := bench.RunCheck(*timeout)
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONCheck(rows)...)
-			return
-		}
-		fmt.Println(bench.FormatCheck(rows))
-	}
-
-	runCluster := func() {
-		rows, err := bench.RunCluster(*clusterN, *clusterPeers, *timeout)
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONCluster(rows)...)
-			return
-		}
-		fmt.Println(bench.FormatCluster(rows))
-	}
-
-	runNLP := func() {
-		rows, err := bench.RunNLP(*nlpRows, *timeout)
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONNLP(rows)...)
-			return
-		}
-		fmt.Println(bench.FormatNLP(rows))
-	}
-
-	runSAT := func() {
-		rows, err := bench.RunSATCore(*maxN, *timeout, baseRows)
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONSATCore(rows)...)
-			return
-		}
-		fmt.Println(bench.FormatSATCore(rows))
 	}
 
 	switch *table {
@@ -189,35 +64,12 @@ func main() {
 		run2()
 	case "3":
 		run3()
-	case "incr":
-		runIncr()
-	case "sat":
-		runSAT()
-	case "check":
-		runCheck()
-	case "cluster":
-		// Deliberately not part of "all": boots live HTTP servers, and
-		// BENCH_5.json's row set is a frozen contract.
-		runCluster()
-	case "nlp":
-		// Also outside "all": BENCH_5.json's row set is frozen; the PolyAR
-		// ablation is archived separately as BENCH_10.json.
-		runNLP()
 	case "all":
 		run1()
 		run2()
 		run3()
-		runIncr()
-		runSAT()
-		runCheck()
 	default:
-		fmt.Fprintln(os.Stderr, "abbench: -table must be 1, 2, 3, incr, sat, check, cluster, nlp or all")
+		fmt.Fprintln(os.Stderr, "abbench: -table must be 1, 2, 3 or all")
 		os.Exit(2)
-	}
-
-	if *jsonOut {
-		if err := bench.WriteJSON(os.Stdout, jsonRows); err != nil {
-			fail(err)
-		}
 	}
 }

@@ -118,7 +118,7 @@ func main() {
 		}
 		lo, err1 := strconv.ParseFloat(parts[1], 64)
 		hi, err2 := strconv.ParseFloat(parts[2], 64)
-		if err1 != nil || err2 != nil || lo > hi {
+		if err1 != nil || err2 != nil || !(lo <= hi) { // rejects NaN too
 			fail(fmt.Errorf("bad -bound %q", b))
 		}
 		p.SetBounds(parts[0], lo, hi)

@@ -1,11 +1,13 @@
 // Package bench assembles the paper's evaluation (Sec. 5): the instance
-// builders and runners that regenerate Tables 1-3, shared between the
-// abbench command and the repository-level Go benchmarks. Each Run
-// function returns structured rows plus a printable rendering in the
-// layout of the corresponding table.
+// builders and runners that regenerate Tables 1-3 for the abbench command,
+// plus the instance catalogs (Table1Instances, CheckInstances) that the
+// repository-level Go benchmarks and the perfbench harness measure. Each
+// Run function returns structured rows, and each Format function renders
+// them in the layout of the corresponding table.
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -121,10 +123,6 @@ type Cell struct {
 	// Note marks abnormal outcomes: "rejected" (nonlinear), "timeout",
 	// "OOM", or an error string.
 	Note string
-	// Checks counts theory-solver invocations (linear + nonlinear for
-	// ABsolver, the baseline's own theory checks otherwise) — the work
-	// measure behind the wall time in machine-readable output.
-	Checks int
 }
 
 // String renders the cell in the paper's m'ss.mmm's style.
@@ -168,10 +166,7 @@ func RunTable1(timeout time.Duration) ([]Table1Row, error) {
 		}
 		start := time.Now()
 		res, err := core.NewEngine(p, core.Config{Timeout: timeout}).Solve()
-		cell := Cell{
-			Time: time.Since(start), Status: res.Status,
-			Checks: res.Stats.LinearChecks + res.Stats.NonlinearChecks,
-		}
+		cell := Cell{Time: time.Since(start), Status: res.Status}
 		if err != nil {
 			if err == core.ErrTimeout {
 				cell.Note = "timeout"
@@ -195,33 +190,19 @@ type baselineSolver interface {
 func runBaseline(s baselineSolver, p *core.Problem) Cell {
 	start := time.Now()
 	r, err := s.Solve(p)
-	cell := Cell{Time: time.Since(start), Status: r.Status, Checks: r.Stats.TheoryChecks}
+	cell := Cell{Time: time.Since(start), Status: r.Status}
 	switch {
 	case err == nil:
-	case isErr(err, baseline.ErrNonlinear):
+	case errors.Is(err, baseline.ErrNonlinear):
 		cell.Note = "rejected"
-	case isErr(err, baseline.ErrTimeout):
+	case errors.Is(err, baseline.ErrTimeout):
 		cell.Note = "timeout"
-	case isErr(err, baseline.ErrOutOfMemory):
+	case errors.Is(err, baseline.ErrOutOfMemory):
 		cell.Note = "OOM"
 	default:
 		cell.Note = err.Error()
 	}
 	return cell
-}
-
-func isErr(err, target error) bool {
-	for err != nil {
-		if err == target {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 // FormatTable1 renders the rows like the paper's Table 1 (plus the
@@ -275,10 +256,7 @@ func RunTable2(maxN int, timeout time.Duration, progress ...func(Table2Row)) ([]
 			Bool:           core.NewExternalCDCLSolver(),
 			Timeout:        timeout,
 		}).Solve()
-		row.ABsolver = Cell{
-			Time: time.Since(start), Status: resA.Status,
-			Checks: resA.Stats.LinearChecks + resA.Stats.NonlinearChecks,
-		}
+		row.ABsolver = Cell{Time: time.Since(start), Status: resA.Status}
 		if errA == core.ErrTimeout {
 			row.ABsolver.Note = "timeout"
 		} else if errA != nil {
@@ -348,10 +326,7 @@ func RunTable3(opt Table3Options) ([]Table3Row, error) {
 		mixed := sudoku.EncodeMixed(&inst.Puzzle)
 		start := time.Now()
 		res, err := core.NewEngine(mixed, core.Config{Timeout: opt.Timeout}).Solve()
-		row.ABsolver = Cell{
-			Time: time.Since(start), Status: res.Status,
-			Checks: res.Stats.LinearChecks + res.Stats.NonlinearChecks,
-		}
+		row.ABsolver = Cell{Time: time.Since(start), Status: res.Status}
 		if err == core.ErrTimeout {
 			row.ABsolver.Note = "timeout"
 		} else if err != nil {

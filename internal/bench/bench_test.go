@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -62,53 +63,14 @@ func TestTable1TextDimensions(t *testing.T) {
 				break
 			}
 		}
-		want := ""
-		if c.clauses >= 0 {
-			want = strings.TrimSpace(header)
-		}
-		_ = want
 		var nv, nc int
-		if _, err := fmtSscanf(header, &nv, &nc); err != nil {
+		if _, err := fmt.Sscanf(header, "p cnf %d %d", &nv, &nc); err != nil {
 			t.Fatalf("bad header %q: %v", header, err)
 		}
 		if nv != c.vars || nc != c.clauses {
 			t.Fatalf("header %q declares %d/%d, want %d/%d", header, nv, nc, c.vars, c.clauses)
 		}
 	}
-}
-
-func fmtSscanf(header string, nv, nc *int) (int, error) {
-	fields := strings.Fields(header)
-	if len(fields) != 4 {
-		return 0, errBadHeader
-	}
-	var err1, err2 error
-	*nv, err1 = atoi(fields[2])
-	*nc, err2 = atoi(fields[3])
-	if err1 != nil {
-		return 0, err1
-	}
-	if err2 != nil {
-		return 0, err2
-	}
-	return 2, nil
-}
-
-var errBadHeader = errT("bad header")
-
-type errT string
-
-func (e errT) Error() string { return string(e) }
-
-func atoi(s string) (int, error) {
-	n := 0
-	for _, r := range s {
-		if r < '0' || r > '9' {
-			return 0, errBadHeader
-		}
-		n = n*10 + int(r-'0')
-	}
-	return n, nil
 }
 
 func TestTable1SmallInstancesSolve(t *testing.T) {

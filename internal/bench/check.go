@@ -1,32 +1,17 @@
 package bench
 
 import (
-	"context"
-	"fmt"
-	"strings"
-	"time"
-
-	"absolver/internal/core"
-	"absolver/internal/fischer"
 	"absolver/internal/lustre"
-	"absolver/internal/mc"
 	"absolver/internal/steering"
 )
 
 // ---------------------------------------------------------------------------
-// Table 8: the model-checking front end (PR 8 ablation, not a paper table).
+// Model-checking instances (not a paper table).
 //
-// The workload is BMC + k-induction over the repo's two protocol/case-study
-// models: the discrete Fischer protocol in both timing variants (safe and
-// broken) and the paper's steering case study converted through the full
-// Simulink → Lustre chain. Warm mode is the checker's default — all depths
-// of the unrolling share one core.Session, so clause learning and theory
-// verdicts carry across depths. Cold mode rebuilds a fresh session per
-// depth, the per-query baseline an external driver would pay. As with the
-// incremental table, the theory-check column is the work measure: warm must
-// not pay more theory checks than cold.
+// The model checker's workload is the paper's steering case study converted
+// through the full Simulink → Lustre chain, checked by BMC + k-induction.
 
-// CheckInstance is one model of the check benchmark.
+// CheckInstance is one model for the model checker.
 type CheckInstance struct {
 	Name string
 	// Depth is the unrolling bound handed to the checker.
@@ -39,17 +24,9 @@ type CheckInstance struct {
 	Bounds map[string][2]float64
 }
 
-// CheckInstances returns the benchmark's model set.
+// CheckInstances returns the model-checking instances.
 func CheckInstances() []CheckInstance {
 	return []CheckInstance{
-		{
-			Name: "fischer_safe", Depth: 4,
-			Build: func() (*lustre.Program, error) { return lustre.Parse(fischer.LustreSafe()) },
-		},
-		{
-			Name: "fischer_broken", Depth: 6,
-			Build: func() (*lustre.Program, error) { return lustre.Parse(fischer.LustreBroken()) },
-		},
 		{
 			// The paper's verification question is the reachability of the
 			// critical driving situation, which the checker poses as
@@ -77,115 +54,4 @@ func steeringSafety() (*lustre.Program, error) {
 		Rhs:    lustre.Unary{Op: "not", X: lustre.Ref{Name: "CriticalScenario"}},
 	})
 	return prog, nil
-}
-
-// CheckRow is one model measured in both session modes.
-type CheckRow struct {
-	Name string
-	// Verdict and K are the warm run's outcome (modes must agree).
-	Verdict string
-	K       int
-	Warm    Cell
-	Cold    Cell
-}
-
-// RunCheck measures the model-checking sweep: every instance checked to
-// its depth, once with the warm shared session and once cold.
-func RunCheck(timeout time.Duration) ([]CheckRow, error) {
-	instances := CheckInstances()
-	rows := make([]CheckRow, len(instances))
-	for i, inst := range instances {
-		row, err := runCheckInstance(inst, timeout)
-		if err != nil {
-			return nil, err
-		}
-		rows[i] = row
-	}
-	return rows, nil
-}
-
-func runCheckInstance(inst CheckInstance, timeout time.Duration) (CheckRow, error) {
-	row := CheckRow{Name: inst.Name}
-	prog, err := inst.Build()
-	if err != nil {
-		return row, fmt.Errorf("bench: %s: %w", inst.Name, err)
-	}
-	var verdicts [2]mc.Verdict
-	for m, cold := range []bool{false, true} {
-		opts := mc.Options{
-			Property:    inst.Property,
-			MaxDepth:    inst.Depth,
-			Cold:        cold,
-			InputBounds: inst.Bounds,
-			Config:      &core.Config{Timeout: timeout, CheckModels: true},
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		start := time.Now()
-		res, err := mc.Check(ctx, prog, opts)
-		cancel()
-		cell := Cell{
-			Time:   time.Since(start),
-			Checks: res.Stats.LinearChecks + res.Stats.NonlinearChecks,
-		}
-		if err != nil {
-			if !isErr(err, core.ErrTimeout) && !isErr(err, context.DeadlineExceeded) {
-				return row, fmt.Errorf("bench: %s: %w", inst.Name, err)
-			}
-			cell.Note = "timeout"
-		}
-		verdicts[m] = res.Verdict
-		if cold {
-			row.Cold = cell
-		} else {
-			row.Warm = cell
-			row.Verdict = string(res.Verdict)
-			row.K = res.K
-		}
-	}
-	if verdicts[0] != verdicts[1] && row.Warm.Note == "" && row.Cold.Note == "" {
-		return row, fmt.Errorf("bench: %s: warm %v vs cold %v", inst.Name, verdicts[0], verdicts[1])
-	}
-	return row, nil
-}
-
-// CheckTotals sums the theory checks of both modes.
-func CheckTotals(rows []CheckRow) (warm, cold int) {
-	for _, r := range rows {
-		warm += r.Warm.Checks
-		cold += r.Cold.Checks
-	}
-	return warm, cold
-}
-
-// FormatCheck renders the sweep in the tables' layout.
-func FormatCheck(rows []CheckRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Model checking (BMC + k-induction, warm session vs cold per depth)\n")
-	fmt.Fprintf(&b, "%-15s | %-13s | %2s | %10s | %6s | %10s | %6s\n",
-		"model", "verdict", "k", "warm", "checks", "cold", "checks")
-	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 78))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-15s | %-13s | %2d | %10s | %6d | %10s | %6d\n",
-			r.Name, r.Verdict, r.K, fmtDur(r.Warm.Time), r.Warm.Checks,
-			fmtDur(r.Cold.Time), r.Cold.Checks)
-	}
-	warm, cold := CheckTotals(rows)
-	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 78))
-	fmt.Fprintf(&b, "total theory checks: warm=%d cold=%d\n", warm, cold)
-	return b.String()
-}
-
-// JSONCheck flattens the sweep into one JSONRow per mode and model (table
-// number 8, solvers "absolver-warm" and "absolver-cold"). The verdict
-// column carries the checker's verdict vocabulary (proved / falsified /
-// bound_reached) instead of a solver status.
-func JSONCheck(rows []CheckRow) []JSONRow {
-	var out []JSONRow
-	for _, r := range rows {
-		w := jsonRow(8, r.Name, "absolver-warm", r.Warm)
-		c := jsonRow(8, r.Name, "absolver-cold", r.Cold)
-		w.Verdict, c.Verdict = r.Verdict, r.Verdict
-		out = append(out, w, c)
-	}
-	return out
 }

@@ -1,9 +1,10 @@
 package bench
 
 import (
-	"strings"
+	"context"
 	"testing"
-	"time"
+
+	"absolver/internal/mc"
 )
 
 func TestCheckInstancesBuild(t *testing.T) {
@@ -18,9 +19,11 @@ func TestCheckInstancesBuild(t *testing.T) {
 	}
 }
 
-func TestRunCheckSteering(t *testing.T) {
-	// The full sweep is the bench binary's job; the smoke test runs only
-	// the fast case-study instance and checks both modes end to end.
+// TestCheckSteeringWarmAndCold checks the steering instance end to end in
+// both session modes. The paper's query: the critical driving situation is
+// reachable, so the safety property falsifies at once with a certified
+// test vector.
+func TestCheckSteeringWarmAndCold(t *testing.T) {
 	var inst CheckInstance
 	for _, c := range CheckInstances() {
 		if c.Name == "steering" {
@@ -30,26 +33,20 @@ func TestRunCheckSteering(t *testing.T) {
 	if inst.Name == "" {
 		t.Fatal("no steering instance")
 	}
-	row, err := runCheckInstance(inst, 60*time.Second)
+	prog, err := inst.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The paper's query: the critical driving situation is reachable, so
-	// the safety property falsifies immediately with a test vector.
-	if row.Verdict != "falsified" || row.K != 0 {
-		t.Fatalf("row = %+v, want falsified at 0", row)
-	}
-	if row.Warm.Checks <= 0 || row.Cold.Checks <= 0 {
-		t.Fatalf("missing theory-check counts: %+v", row)
-	}
-
-	out := FormatCheck([]CheckRow{row})
-	if !strings.Contains(out, "steering") || !strings.Contains(out, "falsified") {
-		t.Fatalf("format: %q", out)
-	}
-	rows := JSONCheck([]CheckRow{row})
-	if len(rows) != 2 || rows[0].Table != 8 || rows[0].Solver != "absolver-warm" ||
-		rows[1].Solver != "absolver-cold" || rows[0].Verdict != "falsified" {
-		t.Fatalf("json rows: %+v", rows)
+	for _, cold := range []bool{false, true} {
+		res, err := mc.Check(context.Background(), prog, mc.Options{
+			Property: inst.Property, MaxDepth: inst.Depth, Cold: cold,
+			InputBounds: inst.Bounds,
+		})
+		if err != nil {
+			t.Fatalf("cold=%v: %v", cold, err)
+		}
+		if res.Verdict != mc.Falsified || res.K != 0 || !res.Certified {
+			t.Fatalf("cold=%v: result = %+v, want certified falsification at 0", cold, res)
+		}
 	}
 }

@@ -110,7 +110,8 @@ func ParseLimited(r io.Reader, lim Limits) (*core.Problem, error) {
 			if len(fields) == 4 && fields[0] == "bound" {
 				lo, err1 := strconv.ParseFloat(fields[2], 64)
 				hi, err2 := strconv.ParseFloat(fields[3], 64)
-				if err1 != nil || err2 != nil || lo > hi {
+				// !(lo <= hi) also rejects NaN, which every comparison fails.
+				if err1 != nil || err2 != nil || !(lo <= hi) {
 					return nil, fmt.Errorf("dimacs: line %d: bad bound", lineNo)
 				}
 				p.SetBounds(fields[1], lo, hi)

@@ -125,8 +125,14 @@ func TestBoundLines(t *testing.T) {
 	if !ok || iv.Lo != -5 || iv.Hi != 5 {
 		t.Fatalf("bounds = %v", p.Bounds)
 	}
-	if _, err := ParseString("p cnf 1 1\n1 0\nc bound x 5 -5\n"); err == nil {
-		t.Fatal("inverted bound accepted")
+	// An inverted bound, and a NaN bound that no lo > hi test catches.
+	for _, src := range []string{
+		"p cnf 1 1\n1 0\nc bound x 5 -5\n",
+		"p cnf 1 1\n1 0\nc def real 1 x >= 5\nc bound x NaN 1\n",
+	} {
+		if _, err := ParseString(src); err == nil {
+			t.Fatalf("bad bound accepted: %q", src)
+		}
 	}
 }
 

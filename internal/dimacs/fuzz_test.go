@@ -8,6 +8,7 @@ func FuzzParse(f *testing.F) {
 	f.Add("p cnf 4 3\n1 0\n-2 3 0\n4 0\nc def int 1 i >= 0\n")
 	f.Add("p cnf 1 1\n1 0\nc def real 1 a * x + 3.5 / ( 4 - y ) + 2 * y >= 7.1\nc bound a -10 10\n")
 	f.Add("c comment only\n")
+	f.Add("p cnf 1 1\n1 0\nc def real 1 x >= 5\nc bound x NaN 1\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := ParseString(src)
 		if err != nil {

@@ -93,7 +93,7 @@ type Options struct {
 	// the checker can then falsify or exhaust the bound, never prove.
 	NoInduction bool
 	// Cold rebuilds a fresh session per depth instead of reusing one warm
-	// session — the ablation baseline for the BENCH_8 table.
+	// session — the per-query baseline a warm unrolling is compared with.
 	Cold bool
 	// InputBounds restricts numeric inputs to [lo, hi] as background
 	// theory. Inputs without an entry are unconstrained.

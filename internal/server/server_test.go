@@ -142,6 +142,13 @@ func TestBadRequests(t *testing.T) {
 		t.Fatalf("exit code = %d, want %d", ce.ExitCode, api.ExitUsage)
 	}
 
+	// A NaN bound → 400, exit code 2 (it used to panic the handler).
+	_, err = c.Solve(ctx, "p cnf 1 1\n1 0\nc def real 1 x >= 5\nc bound x NaN 1\n", api.SolveParams{})
+	ce = assertHTTP(t, err, http.StatusBadRequest)
+	if ce.ExitCode != api.ExitUsage {
+		t.Fatalf("NaN bound: exit code = %d, want %d", ce.ExitCode, api.ExitUsage)
+	}
+
 	// Oversized body → 413.
 	big := satDIMACS + strings.Repeat("c padding padding padding\n", 1<<13)
 	_, err = c.Solve(ctx, big, api.SolveParams{})
