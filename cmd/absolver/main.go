@@ -71,6 +71,7 @@ import (
 	"absolver"
 	"absolver/internal/core"
 	"absolver/internal/portfolio"
+	"absolver/internal/server/api"
 )
 
 // Stable exit codes; keep in sync with docs/exit-codes.md.
@@ -202,9 +203,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	return exit
 }
 
-// runBatchFile solves an NDJSON file of instance deltas incrementally over
-// one warm session: per instance, push a frame, assert the delta clauses,
-// solve under the instance's assumptions, pop. Learned clauses, theory
+// runBatchFile solves an NDJSON file of instance deltas (api.BatchInstance
+// lines; blank and # lines are skipped) incrementally over one warm
+// session, each instance in a frame of its own. Learned clauses, theory
 // verdicts and solver heuristics carry over between instances.
 func runBatchFile(p *absolver.Problem, cfg absolver.Config, path string, quiet, stats bool, stdout, stderr io.Writer) int {
 	f, err := os.Open(path)
@@ -220,11 +221,6 @@ func runBatchFile(p *absolver.Problem, cfg absolver.Config, path string, quiet, 
 		return exitInternal
 	}
 
-	type instance struct {
-		ID      string  `json:"id"`
-		Clauses [][]int `json:"clauses"`
-		Assume  []int   `json:"assume"`
-	}
 	ctx := context.Background()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
@@ -236,7 +232,7 @@ func runBatchFile(p *absolver.Problem, cfg absolver.Config, path string, quiet, 
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		var inst instance
+		var inst api.BatchInstance
 		if err := json.Unmarshal([]byte(text), &inst); err != nil {
 			fmt.Fprintf(stderr, "absolver: %s:%d: %v\n", path, line, err)
 			return exitUsage
@@ -247,24 +243,7 @@ func runBatchFile(p *absolver.Problem, cfg absolver.Config, path string, quiet, 
 		}
 		fmt.Fprintf(stdout, "c instance %s\n", name)
 
-		sess.Push()
-		assertErr := error(nil)
-		for _, cl := range inst.Clauses {
-			if assertErr = sess.AssertClause(cl...); assertErr != nil {
-				break
-			}
-		}
-		if assertErr != nil {
-			_ = sess.Pop()
-			fmt.Fprintf(stderr, "absolver: instance %s: %v\n", name, assertErr)
-			failures++
-			idx++
-			continue
-		}
-		res, err := sess.SolveUnderAssumptions(ctx, inst.Assume)
-		if perr := sess.Pop(); perr != nil && err == nil {
-			err = perr
-		}
+		res, err := sess.SolveFrame(ctx, inst.Clauses, inst.Assume)
 		if err != nil && !errors.Is(err, absolver.ErrTimeout) {
 			fmt.Fprintf(stderr, "absolver: instance %s: %v\n", name, err)
 			failures++

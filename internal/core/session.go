@@ -269,6 +269,28 @@ func (s *Session) SolveUnderAssumptions(ctx context.Context, lits []int) (Result
 	return res, err
 }
 
+// SolveFrame solves one instance in a frame of its own: it pushes a frame,
+// asserts clauses in it, solves under assume and pops, so the clauses never
+// outlive the call. It returns the first error; a clause that fails to
+// assert skips the solve.
+func (s *Session) SolveFrame(ctx context.Context, clauses [][]int, assume []int) (Result, error) {
+	s.Push()
+	var res Result
+	var err error
+	for _, cl := range clauses {
+		if err = s.AssertClause(cl...); err != nil {
+			break
+		}
+	}
+	if err == nil {
+		res, err = s.SolveUnderAssumptions(ctx, assume)
+	}
+	if perr := s.Pop(); err == nil {
+		err = perr
+	}
+	return res, err
+}
+
 // attributeLossy charges n new lossy blocks to the innermost frame (they
 // are guarded by its selector and die with it) or to the base level.
 func (s *Session) attributeLossy(n int) {

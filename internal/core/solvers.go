@@ -103,7 +103,7 @@ func (c *CDCLSolver) Name() string { return "cdcl" }
 // Reset implements BoolSolver.
 func (c *CDCLSolver) Reset(numVars int, clauses [][]int) error {
 	if c.s != nil {
-		c.accumulate()
+		c.Accum.Add(c.s.Stats)
 	}
 	c.s = sat.New()
 	c.s.Inprocess = !c.noInprocess
@@ -119,21 +119,6 @@ func (c *CDCLSolver) Reset(numVars int, clauses [][]int) error {
 		}
 	}
 	return nil
-}
-
-func (c *CDCLSolver) accumulate() {
-	st := c.s.Stats
-	c.Accum.Decisions += st.Decisions
-	c.Accum.Propagations += st.Propagations
-	c.Accum.Conflicts += st.Conflicts
-	c.Accum.Restarts += st.Restarts
-	c.Accum.Learnt += st.Learnt
-	c.Accum.DeletedLearnt += st.DeletedLearnt
-	c.Accum.SolveCalls += st.SolveCalls
-	c.Accum.ClausesSubsumed += st.ClausesSubsumed
-	c.Accum.ProbedLiterals += st.ProbedLiterals
-	c.Accum.FailedLiterals += st.FailedLiterals
-	c.Accum.ArenaCompactions += st.ArenaCompactions
 }
 
 // Solve implements BoolSolver.
@@ -243,18 +228,7 @@ func (c *CDCLSolver) SetInprocess(on bool) {
 func (c *CDCLSolver) Stats() sat.Stats {
 	st := c.Accum
 	if c.s != nil {
-		live := c.s.Stats
-		st.Decisions += live.Decisions
-		st.Propagations += live.Propagations
-		st.Conflicts += live.Conflicts
-		st.Restarts += live.Restarts
-		st.Learnt += live.Learnt
-		st.DeletedLearnt += live.DeletedLearnt
-		st.SolveCalls += live.SolveCalls
-		st.ClausesSubsumed += live.ClausesSubsumed
-		st.ProbedLiterals += live.ProbedLiterals
-		st.FailedLiterals += live.FailedLiterals
-		st.ArenaCompactions += live.ArenaCompactions
+		st.Add(c.s.Stats)
 	}
 	return st
 }

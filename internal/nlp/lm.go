@@ -13,7 +13,7 @@ import (
 // the quadratic local convergence an interior-point solver like IPOPT has.
 // x is refined in place and returned, at least as good as on entry under
 // the merit function. evals counts merit evaluations.
-func polish(ctx context.Context, p *penalty, x []float64, opt Options) ([]float64, int) {
+func polish(ctx context.Context, p *penalty, x []float64) ([]float64, int) {
 	evals := 0
 	f, ok := p.eval(x)
 	evals++
@@ -27,7 +27,7 @@ func polish(ctx context.Context, p *penalty, x []float64, opt Options) ([]float6
 	}
 	trial := p.trial
 	for iter := 0; iter < 60; iter++ {
-		if f <= opt.Tol*opt.Tol {
+		if f <= Tol*Tol {
 			return x, evals
 		}
 		if ctx.Err() != nil {

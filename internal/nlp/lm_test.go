@@ -89,8 +89,8 @@ func TestPolishConvergesOnTightEquality(t *testing.T) {
 		t.Fatal(err)
 	}
 	box := expr.Box{"x": interval.New(0, 10)}
-	pen := newPenalty(&Problem{Atoms: []expr.Atom{a}}, box, Options{}.withDefaults())
-	x, _ := polish(context.Background(), pen, []float64{1.3}, Options{}.withDefaults())
+	pen := newPenalty(&Problem{Atoms: []expr.Atom{a}}, box)
+	x, _ := polish(context.Background(), pen, []float64{1.3})
 	if math.Abs(x[0]-math.Sqrt2) > 1e-7 {
 		t.Fatalf("x = %v, want √2", x[0])
 	}
@@ -102,8 +102,8 @@ func TestPolishRespectsBox(t *testing.T) {
 		t.Fatal(err)
 	}
 	box := expr.Box{"x": interval.New(0, 5)}
-	pen := newPenalty(&Problem{Atoms: []expr.Atom{a}}, box, Options{}.withDefaults())
-	x, _ := polish(context.Background(), pen, []float64{2}, Options{}.withDefaults())
+	pen := newPenalty(&Problem{Atoms: []expr.Atom{a}}, box)
+	x, _ := polish(context.Background(), pen, []float64{2})
 	if x[0] < 0 || x[0] > 5 {
 		t.Fatalf("x = %v escaped the box", x[0])
 	}

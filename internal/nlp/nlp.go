@@ -59,7 +59,7 @@ func (s Status) String() string {
 type Problem struct {
 	Atoms []expr.Atom
 	// Box gives per-variable domains; variables missing from the box are
-	// unbounded (but sampling clamps them to ±Options.DefaultRange).
+	// unbounded (but sampling clamps them to ±DefaultRange).
 	Box expr.Box
 }
 
@@ -82,28 +82,34 @@ func (p *Problem) Vars() []string {
 	return out
 }
 
+// Fixed tolerances and sweep budgets of the solver. StrictMargin, Tol and
+// DefaultRange are exported because PolyAR accepts witnesses and clamps
+// boxes by the same rules. The float64 types make arithmetic on them round
+// like arithmetic on float64 variables (Tol*Tol is not exactly 1e-16).
+const (
+	// StrictMargin is the slack required of strict inequalities and
+	// disequalities (matching lp.Epsilon).
+	StrictMargin float64 = 1e-6
+	// Tol is the witness acceptance tolerance on non-strict constraints.
+	Tol float64 = 1e-8
+	// DefaultRange clamps unbounded variables for sampling.
+	DefaultRange float64 = 100
+	// interiorMargin biases the search towards points strictly inside weak
+	// inequalities: the descent treats x ≤ b as x ≤ b−m, so witnesses are
+	// robust to exact re-evaluation (e.g. by simulation), while acceptance
+	// still uses the true semantics — boundary witnesses are returned when
+	// nothing better exists.
+	interiorMargin float64 = 1e-4
+	// propagationRounds bounds HC4 sweeps.
+	propagationRounds = 60
+)
+
 // Options tune the solver.
 type Options struct {
 	// Starts is the number of multi-start descent attempts (default 24).
 	Starts int
 	// MaxIters bounds gradient iterations per start (default 300).
 	MaxIters int
-	// PropagationRounds bounds HC4 sweeps (default 60).
-	PropagationRounds int
-	// StrictMargin is the slack required of strict inequalities and
-	// disequalities (default 1e-6, matching lp.Epsilon).
-	StrictMargin float64
-	// InteriorMargin biases the search towards points strictly inside weak
-	// inequalities (default 1e-4): the descent treats x ≤ b as x ≤ b−m, so
-	// witnesses are robust to exact re-evaluation (e.g. by simulation),
-	// while acceptance still uses the true semantics — boundary witnesses
-	// are returned when nothing better exists.
-	InteriorMargin float64
-	// Tol is the witness acceptance tolerance on non-strict constraints
-	// (default 1e-8).
-	Tol float64
-	// DefaultRange clamps unbounded variables for sampling (default 100).
-	DefaultRange float64
 	// Seed makes runs deterministic (default 1).
 	Seed int64
 }
@@ -114,21 +120,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxIters == 0 {
 		o.MaxIters = 300
-	}
-	if o.PropagationRounds == 0 {
-		o.PropagationRounds = 60
-	}
-	if o.StrictMargin == 0 {
-		o.StrictMargin = 1e-6
-	}
-	if o.InteriorMargin == 0 {
-		o.InteriorMargin = 1e-4
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-8
-	}
-	if o.DefaultRange == 0 {
-		o.DefaultRange = 100
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -172,7 +163,7 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) Result {
 
 	// Phase 1: interval propagation for refutation and search-space
 	// contraction.
-	empty, canceled := contract(ctx, p.Atoms, box, opt.PropagationRounds)
+	empty, canceled := contract(ctx, p.Atoms, box, propagationRounds)
 	if empty {
 		return Result{Status: Infeasible, ContractedBox: box}
 	}
@@ -183,7 +174,7 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) Result {
 	// Phase 2: multi-start penalty descent. The descent and the polish run
 	// on slot vectors; env carries each candidate to the verifier and the
 	// accepted one out as the witness.
-	pen := newPenalty(p, box, opt)
+	pen := newPenalty(p, box)
 	rng := rand.New(rand.NewSource(opt.Seed))
 	env := make(expr.Env, len(pen.vars))
 	evals := 0
@@ -192,20 +183,20 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) Result {
 		if ctx.Err() != nil {
 			return Result{Status: Unknown, ContractedBox: box, Evals: evals}
 		}
-		samplePoint(pen.x, pen.vars, box, rng, opt.DefaultRange, start)
+		samplePoint(pen.x, pen.vars, box, rng, DefaultRange, start)
 		x, e := descend(ctx, pen, opt)
 		evals += e
 		if x == nil {
 			continue
 		}
-		if Verify(p.Atoms, pen.fillEnv(env, x), opt.StrictMargin, opt.Tol) {
+		if Verify(p.Atoms, pen.fillEnv(env, x), StrictMargin, Tol) {
 			return Result{Status: Feasible, X: env, ContractedBox: box, Evals: evals}
 		}
 		// Gradient descent gets close; Levenberg-Marquardt finishes the job
 		// on tight (near-)equalities.
-		x, e = polish(ctx, pen, x, opt)
+		x, e = polish(ctx, pen, x)
 		evals += e
-		if Verify(p.Atoms, pen.fillEnv(env, x), opt.StrictMargin, opt.Tol) {
+		if Verify(p.Atoms, pen.fillEnv(env, x), StrictMargin, Tol) {
 			return Result{Status: Feasible, X: env, ContractedBox: box, Evals: evals}
 		}
 	}

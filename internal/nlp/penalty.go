@@ -34,8 +34,6 @@ type penaltyTerm struct {
 	g        *expr.Tape
 	op       expr.CmpOp
 	partials []partial
-	margin   float64
-	interior float64
 }
 
 // partial is ∂g/∂v for the variable in slot, which is Jacobian column col.
@@ -46,7 +44,7 @@ type partial struct {
 
 // newPenalty compiles the merit function of p's atoms over p's sorted
 // variables, clamping line-search points into box.
-func newPenalty(p *Problem, box expr.Box, opt Options) *penalty {
+func newPenalty(p *Problem, box expr.Box) *penalty {
 	vars := p.Vars()
 	pen := &penalty{vars: vars, bounds: make([]interval.Interval, len(vars))}
 	slot := make(map[string]int, len(vars))
@@ -61,10 +59,7 @@ func newPenalty(p *Problem, box expr.Box, opt Options) *penalty {
 	depth := 0
 	for _, a := range p.Atoms {
 		g := expr.Simplify(a.Diff())
-		t := penaltyTerm{
-			g: expr.Compile(g, slot), op: a.Op,
-			margin: opt.StrictMargin, interior: opt.InteriorMargin,
-		}
+		t := penaltyTerm{g: expr.Compile(g, slot), op: a.Op}
 		depth = max(depth, t.g.Depth())
 		for _, v := range expr.Vars(g) {
 			s := slot[v]
@@ -92,25 +87,25 @@ func newPenalty(p *Problem, box expr.Box, opt Options) *penalty {
 func (t *penaltyTerm) violation(g float64) (v, dvdg float64) {
 	switch t.op {
 	case expr.CmpLE:
-		if s := g + t.interior; s > 0 {
+		if s := g + interiorMargin; s > 0 {
 			return s, 1
 		}
 	case expr.CmpLT:
-		if s := g + t.margin + t.interior; s > 0 {
+		if s := g + StrictMargin + interiorMargin; s > 0 {
 			return s, 1
 		}
 	case expr.CmpGE:
-		if s := t.interior - g; s > 0 {
+		if s := interiorMargin - g; s > 0 {
 			return s, -1
 		}
 	case expr.CmpGT:
-		if s := t.margin + t.interior - g; s > 0 {
+		if s := StrictMargin + interiorMargin - g; s > 0 {
 			return s, -1
 		}
 	case expr.CmpEQ:
 		return g, 1 // squared afterwards; sign irrelevant
 	case expr.CmpNE:
-		if s := t.margin - math.Abs(g); s > 0 {
+		if s := StrictMargin - math.Abs(g); s > 0 {
 			if g >= 0 {
 				return s, -1
 			}
@@ -196,7 +191,7 @@ func descend(ctx context.Context, p *penalty, opt Options) ([]float64, int) {
 		}
 	}
 	for iter := 0; iter < opt.MaxIters; iter++ {
-		if f <= opt.Tol*opt.Tol {
+		if f <= Tol*Tol {
 			return x, evals
 		}
 		if ctx.Err() != nil {

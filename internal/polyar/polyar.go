@@ -14,6 +14,18 @@ import (
 	"absolver/internal/nlp"
 )
 
+// Fixed budgets of one Solve call. Witness acceptance and the clamp of
+// unbounded variables follow nlp: StrictMargin, Tol and DefaultRange.
+const (
+	// propagationRounds bounds the initial HC4 contraction sweeps.
+	propagationRounds = 40
+	// minWidth is the relative width below which a variable is no longer
+	// bisected.
+	minWidth = 1e-5
+	// lpMaxIter bounds simplex pivots per region LP.
+	lpMaxIter = 2000
+)
+
 // Options bound one Solve call. The zero value means defaults.
 type Options struct {
 	// MaxRegions caps how many regions are processed before the solver
@@ -22,24 +34,6 @@ type Options struct {
 	// Workers is the size of the goroutine pool that drains each frontier
 	// wave. Default min(GOMAXPROCS, 8).
 	Workers int
-	// PropagationRounds bounds the initial HC4 contraction sweeps.
-	// Default 40.
-	PropagationRounds int
-	// DefaultRange substitutes for infinite box sides so regions stay
-	// bisectable; searching a clamped box forfeits the Infeasible verdict
-	// (a clamped refutation only covers the clamped part). Default 100,
-	// matching nlp.Options.DefaultRange.
-	DefaultRange float64
-	// MinWidth is the relative width below which a variable is no longer
-	// bisected. Default 1e-5.
-	MinWidth float64
-	// LPMaxIter bounds simplex pivots per region LP. Default 2000.
-	LPMaxIter int
-	// StrictMargin and Tol mirror nlp.Options: witnesses must clear
-	// strict atoms and disequalities by StrictMargin/2 and weak atoms
-	// within Tol. Defaults 1e-6 and 1e-8.
-	StrictMargin float64
-	Tol          float64
 }
 
 func (o Options) withDefaults() Options {
@@ -54,24 +48,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Workers < 1 {
 		o.Workers = 1
-	}
-	if o.PropagationRounds == 0 {
-		o.PropagationRounds = 40
-	}
-	if o.DefaultRange == 0 {
-		o.DefaultRange = 100
-	}
-	if o.MinWidth == 0 {
-		o.MinWidth = 1e-5
-	}
-	if o.LPMaxIter == 0 {
-		o.LPMaxIter = 2000
-	}
-	if o.StrictMargin == 0 {
-		o.StrictMargin = 1e-6
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-8
 	}
 	return o
 }
@@ -137,7 +113,7 @@ func Solve(ctx context.Context, atoms []expr.Atom, box expr.Box, ints map[string
 
 	// HC4-contract the true (unclamped) box first: an emptied interval
 	// here refutes the conjunction over the original bounds.
-	emptied, canceled := nlp.Contract(ctx, atoms, root, opt.PropagationRounds)
+	emptied, canceled := nlp.Contract(ctx, atoms, root, propagationRounds)
 	if canceled {
 		return Result{Status: nlp.Unknown, Stats: s.stats()}
 	}
@@ -158,7 +134,7 @@ func Solve(ctx context.Context, atoms []expr.Atom, box expr.Box, ints map[string
 	exhaustive := true
 	for _, v := range s.vars {
 		iv := root[v]
-		r := opt.DefaultRange
+		r := nlp.DefaultRange
 		if math.IsInf(iv.Lo, -1) {
 			iv.Lo = math.Min(-r, iv.Hi-r)
 			exhaustive = false
@@ -302,7 +278,7 @@ func (s *solver) process(ctx context.Context, box expr.Box) outcome {
 
 	// LP discharge of the region's convex relaxation.
 	rx := buildRelaxation(s.atoms, box, s.ints)
-	rx.prob.MaxIter = s.opt.LPMaxIter
+	rx.prob.MaxIter = lpMaxIter
 	res := rx.prob.SolveContext(ctx)
 	switch res.Status {
 	case lp.Infeasible:
@@ -398,7 +374,7 @@ func (s *solver) projected(x map[string]float64, box expr.Box) expr.Env {
 // acceptance rule the penalty solver applies, so the engine's own model
 // certification accepts it too; nil otherwise.
 func (s *solver) verify(env expr.Env) expr.Env {
-	if nlp.Verify(s.atoms, env, s.opt.StrictMargin, s.opt.Tol) {
+	if nlp.Verify(s.atoms, env, nlp.StrictMargin, nlp.Tol) {
 		return env
 	}
 	return nil
@@ -406,7 +382,7 @@ func (s *solver) verify(env expr.Env) expr.Env {
 
 // bisectVar picks the widest-relative-width variable still worth
 // splitting: integers need at least two integral points, reals a relative
-// width above MinWidth.
+// width above minWidth.
 func (s *solver) bisectVar(box expr.Box) (string, bool) {
 	best, bestW := "", 0.0
 	for _, v := range s.vars {
@@ -424,7 +400,7 @@ func (s *solver) bisectVar(box expr.Box) (string, bool) {
 			// ahead of equally-wide reals so integral structure resolves
 			// first (the Borralleras-style integral branching).
 			rel = math.Max(rel, 1)
-		} else if rel <= s.opt.MinWidth {
+		} else if rel <= minWidth {
 			continue
 		}
 		if rel > bestW {

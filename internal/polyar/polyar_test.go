@@ -159,12 +159,13 @@ func TestSolveCancellation(t *testing.T) {
 }
 
 func TestSolveUnboundedVarDegradesUnsatToUnknown(t *testing.T) {
-	// x² ≥ 1e6 with x unbounded IS satisfiable far out; over the clamped
-	// search box the solver must not claim Infeasible.
+	// x² ≥ 1e6 with x unbounded IS satisfiable far out (|x| ≥ 1000); over
+	// the search box clamped to ±nlp.DefaultRange the solver must not claim
+	// Infeasible.
 	atoms := []expr.Atom{
 		{LHS: expr.Mul(expr.V("x"), expr.V("x")), Op: expr.CmpGE, RHS: expr.C(1e6)},
 	}
-	res := Solve(context.Background(), atoms, expr.Box{}, nil, Options{DefaultRange: 10})
+	res := Solve(context.Background(), atoms, expr.Box{}, nil, Options{})
 	if res.Status == nlp.Infeasible {
 		t.Fatalf("clamped Solve claimed Infeasible; clamping forfeits refutation")
 	}

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -453,6 +454,23 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if s.Stats.SolveCalls != 1 {
 		t.Fatalf("SolveCalls = %d", s.Stats.SolveCalls)
+	}
+}
+
+// TestStatsAddCoversEveryField guards the hand-written sum in Stats.Add:
+// a counter added to Stats but not to Add would read zero after a Reset.
+func TestStatsAddCoversEveryField(t *testing.T) {
+	var a, b Stats
+	va, vb := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < va.NumField(); i++ {
+		va.Field(i).SetInt(int64(i + 1))
+		vb.Field(i).SetInt(int64(100 * (i + 1)))
+	}
+	a.Add(b)
+	for i := 0; i < va.NumField(); i++ {
+		if got, want := va.Field(i).Int(), int64(101*(i+1)); got != want {
+			t.Errorf("Add: %s = %d, want %d", va.Type().Field(i).Name, got, want)
+		}
 	}
 }
 

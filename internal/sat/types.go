@@ -125,3 +125,18 @@ type Stats struct {
 	// arena.
 	ArenaCompactions int64
 }
+
+// Add sums o into s field by field.
+func (s *Stats) Add(o Stats) {
+	s.Decisions += o.Decisions
+	s.Propagations += o.Propagations
+	s.Conflicts += o.Conflicts
+	s.Restarts += o.Restarts
+	s.Learnt += o.Learnt
+	s.DeletedLearnt += o.DeletedLearnt
+	s.SolveCalls += o.SolveCalls
+	s.ClausesSubsumed += o.ClausesSubsumed
+	s.ProbedLiterals += o.ProbedLiterals
+	s.FailedLiterals += o.FailedLiterals
+	s.ArenaCompactions += o.ArenaCompactions
+}

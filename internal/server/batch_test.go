@@ -104,6 +104,8 @@ func TestBatchRejectsMultiStrategyParams(t *testing.T) {
 	for _, params := range []api.SolveParams{
 		{Portfolio: 2},
 		{Restart: true},
+		// Sessions never attach to a lemma relay.
+		{ExchangeURL: "http://127.0.0.1:1/relay"},
 	} {
 		_, _, err := c.Batch(ctx, satDIMACS, []api.BatchInstance{{}}, params)
 		var se *client.Error

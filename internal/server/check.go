@@ -2,14 +2,13 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
-	"absolver/internal/core"
 	"absolver/internal/lustre"
 	"absolver/internal/mc"
 	"absolver/internal/server/api"
@@ -23,147 +22,71 @@ import (
 // whole duration and honours the same admission and drain contracts as
 // /v1/solve.
 
-// checkJob carries the check-specific halves of an admitted job.
-type checkJob struct {
-	prog   *lustre.Program
-	params api.CheckParams
-	// events streams depth reports and the terminal event to the handler;
-	// runCheckJob closes it.
-	events chan api.CheckEvent
+func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
+	var params api.CheckParams
+	var prog *lustre.Program
+	if !s.parseRequest(w, r, "a program body", func(q url.Values, body io.Reader) (err error) {
+		params, err = api.ParseCheckParams(q)
+		switch {
+		case err != nil:
+			return fmt.Errorf("bad parameters: %w", err)
+		case params.K > s.cfg.MaxCheckDepth:
+			return fmt.Errorf("k %d exceeds the server maximum %d", params.K, s.cfg.MaxCheckDepth)
+		}
+		prog, err = parseProgram(body, params.Format)
+		return err
+	}) {
+		return
+	}
+	s.serveJob(w, r, params.Timeout, true, func(ctx context.Context, wait time.Duration, emit func(any)) (any, string) {
+		return s.runCheck(ctx, wait, emit, prog, params)
+	})
 }
 
-func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, api.ExitUsage, "POST a program body to /v1/check")
-		return
-	}
-	params, err := api.ParseCheckParams(r.URL.Query())
-	if err != nil {
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage, "bad parameters: %v", err)
-		return
-	}
-	if params.K > s.cfg.MaxCheckDepth {
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage,
-			"k %d exceeds the server maximum %d", params.K, s.cfg.MaxCheckDepth)
-		return
-	}
-
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+// parseProgram reads a Lustre program, or a Simulink model translated to
+// one.
+func parseProgram(body io.Reader, format string) (*lustre.Program, error) {
 	text, err := io.ReadAll(body)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.metrics.reject(rejectBodyTooLarge)
-			writeError(w, http.StatusRequestEntityTooLarge, api.ExitUsage, "program body too large: %v", err)
-			return
-		}
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage, "program body: %v", err)
-		return
+		return nil, fmt.Errorf("program body: %w", err)
 	}
-
 	var prog *lustre.Program
-	switch params.Format {
-	case api.FormatSimulink:
-		m, perr := simulink.ParseModel(strings.NewReader(string(text)))
-		if perr == nil {
+	if format == api.FormatSimulink {
+		var m *simulink.Model
+		if m, err = simulink.ParseModel(strings.NewReader(string(text))); err == nil {
 			prog, err = lustre.FromSimulink(m)
-		} else {
-			err = perr
 		}
-	default:
+	} else {
 		prog, err = lustre.Parse(string(text))
 	}
 	if err != nil {
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage, "program: %v", err)
-		return
+		return nil, fmt.Errorf("program: %w", err)
 	}
-
-	timeout := params.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	j := &job{
-		ctx:      ctx,
-		admitted: time.Now(),
-		done:     make(chan struct{}),
-		check: &checkJob{
-			prog:   prog,
-			params: params,
-			events: make(chan api.CheckEvent, 16),
-		},
-	}
-
-	if !s.admit(w, j) {
-		return
-	}
-
-	// Stream depth events as they arrive; admission fixed the status code.
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	flush := func() {
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-	flush()
-	enc := json.NewEncoder(w)
-	clientGone := false
-	for ev := range j.check.events {
-		if clientGone {
-			continue // drain so the worker's sends never park
-		}
-		if err := enc.Encode(ev); err != nil {
-			clientGone = true
-			continue
-		}
-		flush()
-	}
-	<-j.done
+	return prog, nil
 }
 
-// runCheckJob runs an admitted check on a worker, streaming per-depth
-// verdicts and closing with the result (or error) event.
-func (s *Server) runCheckJob(j *job, wait time.Duration) {
-	defer close(j.check.events)
-	send := func(ev api.CheckEvent) {
-		select {
-		case j.check.events <- ev:
-		case <-j.ctx.Done():
-		}
-	}
-
+// runCheck runs an admitted check, emitting per-depth verdicts; its final
+// event is the result, or the error.
+func (s *Server) runCheck(ctx context.Context, wait time.Duration, emit func(any), prog *lustre.Program, params api.CheckParams) (any, string) {
 	opts := mc.Options{
-		Property:    j.check.params.Property,
-		MaxDepth:    j.check.params.K,
-		NoInduction: j.check.params.NoInduction,
+		Property:    params.Property,
+		MaxDepth:    params.K,
+		NoInduction: params.NoInduction,
 		Progress: func(ev mc.DepthEvent) {
-			send(api.CheckEvent{Type: api.CheckEventDepth, Depth: &api.CheckDepth{
+			emit(api.CheckEvent{Type: api.CheckEventDepth, Depth: &api.CheckDepth{
 				Depth: ev.Depth, Phase: ev.Phase, Status: ev.Status,
 			}})
 		},
 	}
-	res, err := mc.Check(j.ctx, j.check.prog, opts)
-	// Deadline and cancellation surface as errors from the solver but
-	// still carry a sound partial result: report bound_reached rather
-	// than failing the request.
-	timedOut := err != nil && (errors.Is(err, core.ErrTimeout) || errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, context.Canceled))
-	if err != nil && !timedOut {
-		s.metrics.checkDone(verdictError, 0, false, res.Stats, wait)
-		send(api.CheckEvent{Type: api.EventError, Error: err.Error()})
-		return
+	res, err := mc.Check(ctx, prog, opts)
+	// A deadline or cancellation still leaves a sound partial result:
+	// bound_reached, not a failed request.
+	verdict, reason := classify(string(res.Verdict), err)
+	if verdict == verdictError {
+		s.metrics.checkDone(verdict, 0, false, res.Stats, wait)
+		return api.CheckEvent{Type: api.EventError, Error: err.Error()}, "verdict=" + verdict
 	}
+	s.metrics.checkDone(verdict, res.Depths, res.Induction, res.Stats, wait)
 
 	resp := api.CheckResponse{
 		Verdict:   string(res.Verdict),
@@ -176,8 +99,8 @@ func (s *Server) runCheckJob(j *job, wait time.Duration) {
 		Reason:    res.Reason,
 		Stats:     api.StatsFrom(res.Stats),
 	}
-	if timedOut && resp.Reason == "" {
-		resp.Reason = "timeout"
+	if resp.Reason == "" {
+		resp.Reason = reason
 	}
 	if res.Trace != nil {
 		resp.Trace = &api.CheckTrace{
@@ -186,6 +109,5 @@ func (s *Server) runCheckJob(j *job, wait time.Duration) {
 			Inputs:   res.Trace.Inputs,
 		}
 	}
-	s.metrics.checkDone(resp.Verdict, res.Depths, res.Induction, res.Stats, wait)
-	send(api.CheckEvent{Type: api.EventResult, Result: &resp})
+	return api.CheckEvent{Type: api.EventResult, Result: &resp}, fmt.Sprintf("verdict=%s k=%d", verdict, res.K)
 }

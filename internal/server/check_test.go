@@ -173,6 +173,30 @@ func TestCheckBadRequests(t *testing.T) {
 	}
 }
 
+// TestCheckCanceledIsCounted: a check whose client is gone before it runs
+// is counted as canceled, like a disconnected solve, not as bound_reached.
+func TestCheckCanceledIsCounted(t *testing.T) {
+	srv, c := newTestServer(t, server.Config{Workers: 1, QueueDepth: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/check?k=6", strings.NewReader(counterLus)).WithContext(ctx)
+	srv.Handler().ServeHTTP(httptest.NewRecorder(), req)
+
+	m, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	expect := map[string]float64{
+		`absolverd_check_requests_total{verdict="canceled"}`:      1,
+		`absolverd_check_requests_total{verdict="bound_reached"}`: 0,
+	}
+	for k, want := range expect {
+		if got, ok := m[k]; !ok || got != want {
+			t.Errorf("metric %s = %g (present %v), want %g", k, got, ok, want)
+		}
+	}
+}
+
 func TestCheckHonorsDrainContract(t *testing.T) {
 	srv, c := newTestServer(t, server.Config{Workers: 1, QueueDepth: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

@@ -39,8 +39,9 @@ func (c *ClusterMetrics) CubeRequeued() { c.cubesRequeued.Add(1) }
 // retryable HTTP rejection).
 func (c *ClusterMetrics) WorkerFailure() { c.workerFailures.Add(1) }
 
-// Job outcome classes for the solves_total counter. Every admitted job
-// lands in exactly one class when it finishes.
+// Job outcome classes (see classify). Every finished solve lands in exactly
+// one under solves_total; a finished check lands under its own verdict,
+// canceled or error in check_requests_total.
 const (
 	verdictSat      = "sat"
 	verdictUnsat    = "unsat"
@@ -87,7 +88,7 @@ func newMetrics() *metrics {
 	for _, r := range []string{rejectQueueFull, rejectDraining, rejectBodyTooLarge, rejectBadRequest} {
 		m.rejected[r] = 0
 	}
-	for _, v := range []string{"proved", "falsified", "bound_reached", verdictError} {
+	for _, v := range []string{"proved", "falsified", "bound_reached", verdictCanceled, verdictError} {
 		m.checks[v] = 0
 	}
 	return m

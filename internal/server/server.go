@@ -19,11 +19,15 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
+	"path"
 	"runtime"
 	"strconv"
 	"sync"
@@ -133,25 +137,35 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is one admitted solve travelling from handler to worker and back.
+// runFunc decides an admitted job on a worker. It gets the job's context
+// and queue wait, passes stream events to emit as they happen, and returns
+// the job's final event and a short outcome for the log line. Each endpoint
+// supplies one; everything else about a job is shared.
+type runFunc func(ctx context.Context, wait time.Duration, emit func(any)) (final any, outcome string)
+
+// job is one admitted request travelling from handler to worker and back.
 type job struct {
+	name     string // endpoint, for the log line
 	ctx      context.Context
-	problem  *core.Problem
-	params   api.SolveParams
 	admitted time.Time
-	// events carries trace events to the streaming handler (nil for
-	// plain requests); the worker closes it when the solve returns.
-	events chan core.Event
-	// done closes after outcome/err are set and events is closed.
-	done    chan struct{}
-	outcome Outcome
-	err     error
-	// batch, when set, makes the worker run a whole session batch instead
-	// of one solve; outcome/err stay zero and events stays nil.
-	batch *batchJob
-	// check, when set, makes the worker run a model-checking job instead;
-	// outcome/err stay zero and events stays nil.
-	check *checkJob
+	run      runFunc
+	// events carries stream events to the handler (nil for a plain solve,
+	// which emits none); the worker closes it when run returns.
+	events chan any
+	// done closes after final is set and events is closed.
+	done  chan struct{}
+	final any
+}
+
+// emit hands one stream event to the handler. The blocking send gives the
+// stream natural backpressure; the job context unblocks it when the client
+// goes away or the deadline fires, so a dead reader can never wedge a
+// worker.
+func (j *job) emit(ev any) {
+	select {
+	case j.events <- ev:
+	case <-j.ctx.Done():
+	}
 }
 
 // Server owns the queue, the worker pool, and the HTTP handlers. Create
@@ -284,8 +298,8 @@ func (s *Server) retryAfterHint(draining bool) string {
 
 func (s *Server) runJob(j *job) {
 	defer s.jobs.Done()
-	// Closing done last (after the busy gauge drops and the metrics are
-	// recorded) means a client that has its answer finds the job in
+	// Closing done last (after the busy gauge drops and run has recorded
+	// its metrics) means a client that has its answer finds the job in
 	// /metrics.
 	defer close(j.done)
 	s.busy.Add(1)
@@ -299,65 +313,31 @@ func (s *Server) runJob(j *job) {
 		}
 	}
 
-	if j.batch != nil {
-		start := time.Now()
-		s.runBatch(j, wait)
-		s.logf("absolverd: batch done instances=%d wait=%v run=%v",
-			len(j.batch.instances), wait, time.Since(start))
-		return
-	}
-
-	if j.check != nil {
-		start := time.Now()
-		s.runCheckJob(j, wait)
-		s.logf("absolverd: check done k=%d wait=%v run=%v",
-			j.check.params.K, wait, time.Since(start))
-		return
-	}
-
-	var trace core.TraceFunc
-	if j.events != nil {
-		events, ctx := j.events, j.ctx
-		// Blocking send gives the stream natural backpressure; the job
-		// context unblocks it when the client goes away or the deadline
-		// fires, so a dead reader can never wedge a worker.
-		trace = func(ev core.Event) {
-			select {
-			case events <- ev:
-			case <-ctx.Done():
-			}
-		}
-	}
-
 	start := time.Now()
-	j.outcome, j.err = s.solve(j.ctx, j.problem, j.params, trace)
+	var outcome string
+	j.final, outcome = j.run(j.ctx, wait, j.emit)
 	if j.events != nil {
 		close(j.events)
 	}
-
-	verdict := classify(j.outcome.Result.Status, j.err)
-	s.metrics.jobDone(verdict, j.outcome.Result.Stats, wait)
-	s.logf("absolverd: job done verdict=%s wait=%v solve=%v", verdict, wait, time.Since(start))
+	s.logf("absolverd: %s done %s wait=%v run=%v", j.name, outcome, wait, time.Since(start))
 }
 
-// classify buckets a finished job for the solves_total counter.
-func classify(status core.Status, err error) string {
+// classify buckets how a run ended: under verdict, the run's own answer,
+// when it finished or stopped at its budget; canceled when the client went
+// away; error otherwise. reason says why a run stopped short, for the
+// response ("" when err is nil).
+func classify(verdict string, err error) (class, reason string) {
 	switch {
-	case err == nil, errors.Is(err, core.ErrTimeout),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, core.ErrIterationLimit):
-		switch status {
-		case core.StatusSat:
-			return verdictSat
-		case core.StatusUnsat:
-			return verdictUnsat
-		}
-		return verdictUnknown
+	case err == nil:
+		return verdict, ""
+	case errors.Is(err, core.ErrTimeout), errors.Is(err, context.DeadlineExceeded):
+		return verdict, "timeout"
+	case errors.Is(err, core.ErrIterationLimit):
+		return verdict, err.Error()
 	case errors.Is(err, context.Canceled):
-		return verdictCanceled
-	default:
-		return verdictError
+		return verdictCanceled, "canceled"
 	}
+	return verdictError, err.Error()
 }
 
 // solve runs the configured SolveFunc, defaulting to the engine.
@@ -435,56 +415,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, api.ExitUsage, "POST a problem body to /v1/solve")
-		return
-	}
-	params, err := api.ParseParams(r.URL.Query())
-	if err != nil {
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage, "bad parameters: %v", err)
-		return
-	}
-	if params.Portfolio > s.cfg.MaxPortfolio {
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage,
-			"portfolio %d exceeds the server maximum %d", params.Portfolio, s.cfg.MaxPortfolio)
-		return
-	}
-	if params.ExchangeURL != "" && !s.cfg.AllowExchange {
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage,
-			"exchange_url requires a worker-mode server (absolverd -worker)")
-		return
-	}
-
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	var params api.SolveParams
 	var problem *core.Problem
-	switch params.Format {
-	case api.FormatSMTLIB:
-		b, perr := smtlib.ParseReader(body, s.cfg.SMTLIBLimits)
-		if perr == nil {
-			problem = b.ToProblem()
-		} else {
-			err = perr
+	if !s.parseRequest(w, r, "a problem body", func(q url.Values, body io.Reader) (err error) {
+		if params, err = s.solveParams(q); err == nil {
+			problem, err = s.parseProblem(body, params.Format)
 		}
-	default:
-		problem, err = dimacs.ParseLimited(body, s.cfg.DIMACSLimits)
-	}
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) || errors.Is(err, dimacs.ErrInputTooLarge) || errors.Is(err, smtlib.ErrInputTooLarge) {
-			s.metrics.reject(rejectBodyTooLarge)
-			writeError(w, http.StatusRequestEntityTooLarge, api.ExitUsage, "problem body too large: %v", err)
-			return
-		}
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage, "parse error: %v", err)
-		return
-	}
-	if err := problem.Validate(); err != nil {
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage, "invalid problem: %v", err)
+		return err
+	}) {
 		return
 	}
 
@@ -514,52 +452,133 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.metrics.cacheMiss()
 	}
 
-	timeout := params.Timeout
+	final, ok := s.serveJob(w, r, params.Timeout, params.Stream, func(ctx context.Context, wait time.Duration, emit func(any)) (any, string) {
+		var trace core.TraceFunc
+		if params.Stream {
+			trace = func(ev core.Event) { emit(api.TraceEvent(ev)) }
+		}
+		out, err := s.solve(ctx, problem, params, trace)
+		resp, verdict := solveResponse(out, err)
+		s.metrics.jobDone(verdict, out.Result.Stats, wait)
+		if verdict == verdictError {
+			return api.StreamEvent{Type: api.EventError, Error: err.Error()}, "verdict=" + verdict
+		}
+		// Only definitive, error-free outcomes enter the cache: unknown may
+		// be deadline-relative and would poison later requests with laxer
+		// limits.
+		if cacheKey != "" && err == nil && (verdict == verdictSat || verdict == verdictUnsat) {
+			s.cache.put(cacheKey, cacheEntry{resp: resp, model: out.Result.Model})
+		}
+		return api.StreamEvent{Type: api.EventResult, Result: &resp}, "verdict=" + verdict
+	})
+	if !ok || params.Stream {
+		return
+	}
+	if ev := final.(api.StreamEvent); ev.Result != nil {
+		writeJSON(w, http.StatusOK, ev.Result)
+	} else {
+		writeError(w, http.StatusInternalServerError, api.ExitInternal, "%s", ev.Error)
+	}
+}
+
+// solveParams reads and checks the query of /v1/solve and /v1/batch.
+func (s *Server) solveParams(q url.Values) (api.SolveParams, error) {
+	p, err := api.ParseParams(q)
+	switch {
+	case err != nil:
+		return p, fmt.Errorf("bad parameters: %w", err)
+	case p.Portfolio > s.cfg.MaxPortfolio:
+		return p, fmt.Errorf("portfolio %d exceeds the server maximum %d", p.Portfolio, s.cfg.MaxPortfolio)
+	case p.ExchangeURL != "" && !s.cfg.AllowExchange:
+		return p, errors.New("exchange_url requires a worker-mode server (absolverd -worker)")
+	}
+	return p, nil
+}
+
+// parseProblem reads and validates a problem in format: the /v1/solve body
+// and the /v1/batch base.
+func (s *Server) parseProblem(r io.Reader, format string) (*core.Problem, error) {
+	var p *core.Problem
+	var err error
+	if format == api.FormatSMTLIB {
+		var b *smtlib.Benchmark
+		if b, err = smtlib.ParseReader(r, s.cfg.SMTLIBLimits); err == nil {
+			p = b.ToProblem()
+		}
+	} else {
+		p, err = dimacs.ParseLimited(r, s.cfg.DIMACSLimits)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("parse error: %w", err)
+	}
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("invalid problem: %w", err)
+	}
+	return p, nil
+}
+
+// parseRequest is the first step of every job endpoint: it insists on POST,
+// caps the body at MaxBodyBytes and runs the endpoint's parse over the query
+// and body. It answers a parse error itself — 413 when the body is too
+// large, 400 otherwise, both counted in rejected_total — and reports
+// whether the caller should go on.
+func (s *Server) parseRequest(w http.ResponseWriter, r *http.Request, what string, parse func(q url.Values, body io.Reader) error) bool {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, api.ExitUsage, "POST %s to %s", what, r.URL.Path)
+		return false
+	}
+	err := parse(r.URL.Query(), http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) || errors.Is(err, bufio.ErrTooLong) ||
+		errors.Is(err, dimacs.ErrInputTooLarge) || errors.Is(err, smtlib.ErrInputTooLarge) {
+		s.metrics.reject(rejectBodyTooLarge)
+		writeError(w, http.StatusRequestEntityTooLarge, api.ExitUsage, "body too large: %v", err)
+		return false
+	}
+	s.metrics.reject(rejectBadRequest)
+	writeError(w, http.StatusBadRequest, api.ExitUsage, "%v", err)
+	return false
+}
+
+// serveJob runs a parsed request as a job: it clamps the timeout, admits the
+// job and waits for it. A streaming job's events go out as NDJSON while it
+// runs, closed by its final event; otherwise the final event is returned for
+// the caller to answer with. ok is false when admission answered instead.
+func (s *Server) serveJob(w http.ResponseWriter, r *http.Request, timeout time.Duration, stream bool, run runFunc) (final any, ok bool) {
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	// The deadline starts at admission: it covers queue wait plus solve,
-	// and the request context ties the job to the client's connection —
-	// a disconnect cancels the solve.
+	timeout = min(timeout, s.cfg.MaxTimeout)
+	// The deadline starts at admission: it covers queue wait plus run, and
+	// the request context ties the job to the client's connection — a
+	// disconnect cancels the run.
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
 	j := &job{
+		name:     path.Base(r.URL.Path),
 		ctx:      ctx,
-		problem:  problem,
-		params:   params,
 		admitted: time.Now(),
+		run:      run,
 		done:     make(chan struct{}),
 	}
-	if params.Stream {
-		j.events = make(chan core.Event, 64)
+	if stream {
+		// Room for a burst of events, so a slow flush does not stall the run
+		// on every line.
+		j.events = make(chan any, 64)
 	}
-
 	if !s.admit(w, j) {
-		return
+		return nil, false
 	}
-
-	if params.Stream {
-		s.streamResponse(w, j)
-		return
+	if stream {
+		writeStream(w, j)
+	} else {
+		<-j.done
 	}
-	<-j.done
-	resp, errResp := buildResponse(j)
-	if errResp != nil {
-		writeJSON(w, http.StatusInternalServerError, errResp)
-		return
-	}
-	// Only definitive, error-free outcomes enter the cache: unknown may be
-	// deadline-relative and would poison later requests with laxer limits.
-	if cacheKey != "" && j.err == nil {
-		if st := j.outcome.Result.Status; st == core.StatusSat || st == core.StatusUnsat {
-			s.cache.put(cacheKey, cacheEntry{resp: resp, model: j.outcome.Result.Model})
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return j.final, true
 }
 
 // admit queues j, or answers the request with 503 (draining) or 429
@@ -596,16 +615,13 @@ func (s *Server) admit(w http.ResponseWriter, j *job) bool {
 	return false
 }
 
-// buildResponse renders a finished job; a nil error response means HTTP 200.
-func buildResponse(j *job) (api.SolveResponse, *api.ErrorResponse) {
-	return outcomeResponse(j.outcome, j.err)
-}
-
-// outcomeResponse renders one solve outcome — a whole /v1/solve job or a
-// single batch instance — onto the wire types.
-func outcomeResponse(out Outcome, err error) (api.SolveResponse, *api.ErrorResponse) {
+// solveResponse renders one solve outcome — a whole /v1/solve job or a
+// single batch instance — onto the wire and classifies it for
+// solves_total. Under verdictError the response must not be served; err
+// is the diagnostic.
+func solveResponse(out Outcome, err error) (resp api.SolveResponse, verdict string) {
 	res := out.Result
-	resp := api.SolveResponse{
+	resp = api.SolveResponse{
 		Status:   res.Status.String(),
 		ExitCode: api.ExitCode(res.Status),
 		Winner:   out.Winner,
@@ -614,57 +630,37 @@ func outcomeResponse(out Outcome, err error) (api.SolveResponse, *api.ErrorRespo
 	if res.Status == core.StatusSat && res.Model != nil {
 		resp.Model = api.ModelFrom(*res.Model)
 	}
-	switch {
-	case err == nil:
-	case errors.Is(err, core.ErrTimeout), errors.Is(err, context.DeadlineExceeded):
-		resp.Reason = "timeout"
-	case errors.Is(err, context.Canceled):
-		resp.Reason = "canceled"
-	case errors.Is(err, core.ErrIterationLimit):
-		resp.Reason = err.Error()
-	default:
-		return resp, &api.ErrorResponse{Error: err.Error(), ExitCode: api.ExitInternal}
-	}
-	return resp, nil
+	verdict, resp.Reason = classify(resp.Status, err)
+	return resp, verdict
 }
 
-// streamResponse forwards trace events as NDJSON lines while the solve
-// runs, then appends the final result (or error) event. The admission
-// outcome fixed the status code already: streaming bodies are always 200.
-func (s *Server) streamResponse(w http.ResponseWriter, j *job) {
+// writeStream answers a streaming job: one NDJSON line per event while it
+// runs, then its final event. Admission fixed the status code already:
+// streaming bodies are always 200. Once the client is gone the loop stops
+// writing but keeps draining, so the worker's sends never park.
+func writeStream(w http.ResponseWriter, j *job) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
-	flush := func() {
-		if fl != nil {
+	enc := json.NewEncoder(w)
+	write := func(v any) error {
+		err := enc.Encode(v)
+		if err == nil && fl != nil {
 			fl.Flush()
 		}
+		return err
 	}
-	flush()
-
-	enc := json.NewEncoder(w)
-	clientGone := false
+	if fl != nil {
+		fl.Flush()
+	}
+	var gone error
 	for ev := range j.events {
-		if clientGone {
-			continue // keep draining so the worker's sends never park
+		if gone == nil {
+			gone = write(ev)
 		}
-		if err := enc.Encode(api.TraceEvent(ev)); err != nil {
-			clientGone = true
-			continue
-		}
-		flush()
 	}
 	<-j.done
-	if clientGone {
-		return
+	if gone == nil {
+		_ = write(j.final)
 	}
-	resp, errResp := buildResponse(j)
-	var final api.StreamEvent
-	if errResp != nil {
-		final = api.StreamEvent{Type: api.EventError, Error: errResp.Error}
-	} else {
-		final = api.StreamEvent{Type: api.EventResult, Result: &resp}
-	}
-	_ = enc.Encode(final)
-	flush()
 }
