@@ -28,6 +28,7 @@
 package baseline
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -261,18 +262,12 @@ func lazySolve(p *core.Problem, cfg lazyConfig) (Result, error) {
 		for v, hi := range upper {
 			prob.Upper[v] = hi
 		}
-		var lr lp.Result
-		if iis := prob.IISByPropagation(); iis != nil {
-			lr = lp.Result{Status: lp.Infeasible}
-			blockRows(s, rows, iis)
-			continue
-		}
-		lr = prob.Solve()
+		lr, iis := prob.Check(context.Background(), 0)
 		switch lr.Status {
 		case lp.Infeasible:
 			// Tight integration: minimise the conflict to an irreducible
 			// subset before handing it to the Boolean layer.
-			if iis := prob.IIS(); iis != nil {
+			if iis != nil {
 				blockRows(s, rows, iis)
 			} else {
 				blockAssignment(s, asserted)

@@ -292,6 +292,10 @@ type Engine struct {
 	importedCount int
 	// tcache memoises theory verdicts per asserted-atom projection.
 	tcache map[string]theoryVerdict
+	// linear memoises each literal's linearAtom (see linearize), and
+	// formKeys each bound variable's ground-lemma form key.
+	linear   map[int]*linearAtom
+	formKeys map[int]formKey
 	// assumps are assumption literals (DIMACS) applied to every Boolean
 	// query of the next solve — a Session sets them to its frame selectors
 	// plus the caller's literals. Requires an AssumingBoolSolver.
@@ -648,6 +652,7 @@ func (e *Engine) applyPolarityHints() {
 // restart-mode accumulator, logging it under kind when Config.RecordLemmas
 // is set.
 func (e *Engine) block(clause []int, kind LemmaKind) error {
+	e.st.ConflictLits += len(clause)
 	if e.blockGuard != 0 && (kind == LemmaLossy || kind == LemmaModelBlock) {
 		// Inside a session frame, lossy and model blocks hold only relative
 		// to the frame's assertions: guard them on the frame selector so a
@@ -747,23 +752,18 @@ func (e *Engine) theoryCheck(ctx context.Context, model []bool) theoryVerdict {
 
 	// Partition into linear rows, linear disequalities, and nonlinear atoms.
 	var rows []lp.Constraint
-	var rowLits []int
 	var neqs []assertedAtom
 	var nonlinear []assertedAtom
 	for _, aa := range asserted {
-		la, ok := expr.LinearizeAtom(aa.atom)
-		if !ok {
+		la := e.linearize(aa)
+		switch {
+		case !la.ok:
 			nonlinear = append(nonlinear, aa)
-			continue
-		}
-		if aa.atom.Op == expr.CmpNE {
+		case aa.atom.Op == expr.CmpNE:
 			neqs = append(neqs, aa)
-			continue
+		default:
+			rows = append(rows, la.row)
 		}
-		row := linearRow(la, aa.atom.Domain, e.intVars)
-		row.Tag = aa.lit
-		rowLits = append(rowLits, aa.lit)
-		rows = append(rows, row)
 	}
 
 	// Linear stage.
@@ -804,20 +804,14 @@ func (e *Engine) theoryCheck(ctx context.Context, model []bool) theoryVerdict {
 		atoms = append(atoms, aa.atom)
 		lits = append(lits, aa.lit)
 	}
-	for _, aa := range asserted {
-		if aa.atom.Op == expr.CmpNE {
-			if _, ok := expr.LinearizeAtom(aa.atom); ok {
-				atoms = append(atoms, aa.atom)
-				lits = append(lits, aa.lit)
-			}
-			continue
-		}
+	for _, aa := range neqs {
+		atoms = append(atoms, aa.atom)
+		lits = append(lits, aa.lit)
 	}
-	for i, r := range rows {
-		_ = r
+	for _, r := range rows {
 		// Re-assert linear atoms in atom form for the joint check.
-		atoms = append(atoms, atomOfLit(e.p, rowLits[i]))
-		lits = append(lits, rowLits[i])
+		atoms = append(atoms, atomOfLit(e.p, r.Tag))
+		lits = append(lits, r.Tag)
 	}
 
 	hint := envFromLP(x)
@@ -983,7 +977,7 @@ func (e *Engine) checkLinearWithNE(ctx context.Context, rows []lp.Constraint, ne
 	}
 
 	// Fast path: all disequalities already hold at the witness.
-	violated := violatedNE(neqs, base.X)
+	violated := e.violatedNE(neqs, base.X)
 	if len(violated) == 0 {
 		return lp.Feasible, base.X, nil
 	}
@@ -1028,13 +1022,13 @@ func (e *Engine) neSplit(ctx context.Context, rows []lp.Constraint, neqs []asser
 	if res.Status != lp.Feasible {
 		return res.Status, nil, nil
 	}
-	violated := violatedNE(neqs, res.X)
+	violated := e.violatedNE(neqs, res.X)
 	if len(violated) == 0 {
 		return lp.Feasible, res.X, nil
 	}
 	e.st.NESplits++
 	aa := violated[0]
-	la, _ := expr.LinearizeAtom(aa.atom) // Op == CmpNE
+	la := e.linearize(aa).form // Op == CmpNE
 	var conflict []int
 	for _, side := range []expr.CmpOp{expr.CmpLT, expr.CmpGT} {
 		sideAtomLA := la
@@ -1093,10 +1087,10 @@ func verifyAsserted(asserted []assertedAtom, env expr.Env) bool {
 }
 
 // violatedNE returns the disequalities that fail at x.
-func violatedNE(neqs []assertedAtom, x map[string]float64) []assertedAtom {
+func (e *Engine) violatedNE(neqs []assertedAtom, x map[string]float64) []assertedAtom {
 	var out []assertedAtom
 	for _, aa := range neqs {
-		la, _ := expr.LinearizeAtom(aa.atom)
+		la := e.linearize(aa).form
 		lhs := 0.0
 		for v, c := range la.Form.Coeffs {
 			lhs += c * x[v]
@@ -1140,6 +1134,48 @@ func (e *Engine) minimizeNonlinearConflict(ctx context.Context, atoms []expr.Ato
 		}
 	}
 	return keepLits
+}
+
+// linearAtom is what the theory checks derive from one literal's atom:
+// its linearisation (ok when linear) and, for a linear atom other than a
+// disequality, its lp row tagged with the literal. The row shares the
+// form's coefficient map; nothing downstream writes to it.
+type linearAtom struct {
+	form expr.LinearAtom
+	ok   bool
+	row  lp.Constraint
+}
+
+// linearize returns the literal's linearAtom, computing it on first use.
+// Bindings are permanent, so an entry lives as long as the engine; only a
+// new integer marking (which changes linearRow) clears the memo.
+func (e *Engine) linearize(aa assertedAtom) *linearAtom {
+	if la, ok := e.linear[aa.lit]; ok {
+		return la
+	}
+	la := &linearAtom{}
+	if la.form, la.ok = expr.LinearizeAtom(aa.atom); la.ok && aa.atom.Op != expr.CmpNE {
+		la.row = linearRow(la.form, aa.atom.Domain, e.intVars)
+		la.row.Tag = aa.lit
+	}
+	if e.linear == nil {
+		e.linear = map[int]*linearAtom{}
+	}
+	e.linear[aa.lit] = la
+	return la
+}
+
+// formKey returns bound variable w's ground-lemma form key, computed once.
+func (e *Engine) formKey(w int) formKey {
+	k, ok := e.formKeys[w]
+	if !ok {
+		k = atomFormKey(e.p.Bindings[w])
+		if e.formKeys == nil {
+			e.formKeys = map[int]formKey{}
+		}
+		e.formKeys[w] = k
+	}
+	return k
 }
 
 // linearRow converts a normalised linear atom into an lp row, relaxing

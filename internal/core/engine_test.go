@@ -490,9 +490,9 @@ func TestManyDisjointChoices(t *testing.T) {
 func TestStatsCounters(t *testing.T) {
 	keys := []string{
 		"iterations", "linear_checks", "nonlinear_checks", "conflict_clauses",
-		"lossy_blocks", "ne_splits", "lemmas_published", "lemmas_imported",
-		"lemmas_deduped", "theory_cache_hits", "theory_cache_misses",
-		"session_solves", "clauses_subsumed", "probed_literals",
+		"conflict_lits", "lossy_blocks", "ne_splits", "lemmas_published",
+		"lemmas_imported", "lemmas_deduped", "theory_cache_hits",
+		"theory_cache_misses", "session_solves", "clauses_subsumed", "probed_literals",
 		"arena_compactions", "nlp_unknown", "nlp_unknown_rescued",
 		"polyar_regions", "polyar_pruned", "polyar_witnesses",
 	}

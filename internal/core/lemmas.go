@@ -87,6 +87,17 @@ func GroundPairLemmas(p *Problem) [][]int {
 // incremental counterpart of GroundPairLemmas for Session.Assert. Pairs
 // are ordered (existing, new) to mirror the batch pass's sorted sweep.
 func GroundLemmasFor(p *Problem, v int) [][]int {
+	others := make([]int, 0, len(p.Bindings))
+	for w := range p.Bindings {
+		others = append(others, w)
+	}
+	sort.Ints(others)
+	return groundLemmasFor(p, v, others, func(w int) formKey { return atomFormKey(p.Bindings[w]) })
+}
+
+// groundLemmasFor is GroundLemmasFor over the sorted bound variables
+// others (v among them or not), with key giving each binding's form key.
+func groundLemmasFor(p *Problem, v int, others []int, key func(w int) formKey) [][]int {
 	a, ok := p.Bindings[v]
 	if !ok {
 		return nil
@@ -98,23 +109,19 @@ func GroundLemmasFor(p *Problem, v int) [][]int {
 	case expr.False:
 		lemmas = append(lemmas, []int{-(v + 1)})
 	}
-	key, op, bound := atomFormKey(a)
-	if key == "" {
+	k := key(v)
+	if k.key == "" {
 		return lemmas
 	}
-	others := make([]int, 0, len(p.Bindings))
-	for w := range p.Bindings {
-		if w != v {
-			others = append(others, w)
-		}
-	}
-	sort.Ints(others)
 	for _, w := range others {
-		okey, oop, obound := atomFormKey(p.Bindings[w])
-		if okey != key {
+		if w == v {
 			continue
 		}
-		switch PairRelation(oop, obound, op, bound) {
+		o := key(w)
+		if o.key != k.key {
+			continue
+		}
+		switch PairRelation(o.op, o.bound, k.op, k.bound) {
 		case RelExclusive:
 			lemmas = append(lemmas, []int{-(w + 1), -(v + 1)})
 		case RelAImpliesB:
@@ -126,17 +133,24 @@ func GroundLemmasFor(p *Problem, v int) [][]int {
 	return lemmas
 }
 
-// atomFormKey computes the bucketing key GroundPairLemmas uses: the
+// formKey is the bucketing key GroundPairLemmas uses for one atom: the
 // normalised linear form for linear atoms, the rendered expression for
-// nonlinear ones, "" when the atom has no comparable form.
-func atomFormKey(a expr.Atom) (key string, op expr.CmpOp, bound float64) {
+// nonlinear ones, "" when the atom has no comparable form; op and bound
+// place the atom on its form.
+type formKey struct {
+	key   string
+	op    expr.CmpOp
+	bound float64
+}
+
+func atomFormKey(a expr.Atom) formKey {
 	if la, ok := expr.LinearizeAtom(a); ok {
 		if k, o, b, ok := normalizeLinear(la); ok {
-			return k, o, b
+			return formKey{k, o, b}
 		}
-		return "", 0, 0
+		return formKey{}
 	}
-	return "nl|" + strconv.Itoa(int(a.Domain)) + "|" + expr.String(a.LHS) + "|" + expr.String(a.RHS), a.Op, 0
+	return formKey{key: "nl|" + strconv.Itoa(int(a.Domain)) + "|" + expr.String(a.LHS) + "|" + expr.String(a.RHS), op: a.Op}
 }
 
 // normalizeLinear canonicalises a linear atom Σ cᵢxᵢ op b by dividing

@@ -390,13 +390,15 @@ func (e *Engine) bindIncremental(v int) error {
 			if !e.intVars[name] {
 				e.intVars[name] = true
 				// Integer marking changes the meaning of every cached verdict
-				// that constrains name: wipe the cache rather than audit it.
+				// and row that constrains name: wipe the caches rather than
+				// audit them.
 				e.tcache = nil
+				e.linear = nil
 			}
 		}
 	}
 	if !e.cfg.NoGroundLemmas {
-		for _, cl := range GroundLemmasFor(e.p, v) {
+		for _, cl := range groundLemmasFor(e.p, v, e.bvars, e.formKey) {
 			e.lemmas = append(e.lemmas, cl)
 			e.recordLemma(cl, LemmaGround)
 			e.noteOwnClause(cl)

@@ -267,39 +267,9 @@ func (s *SimplexSolver) Check(ctx context.Context, rows []lp.Constraint, lower, 
 			p.MarkInteger(v)
 		}
 	}
-	// Cheap refutation first: bound propagation proves most conjunction
-	// conflicts (equality chains) without a simplex run, and the
-	// propagation-only deletion filter minimises them without one either.
-	if iis := p.IISByPropagation(); iis != nil {
-		return LinearVerdict{Status: lp.Infeasible, IIS: iis}
-	}
-	var res lp.Result
-	if len(p.Integer) > 0 {
-		mr := p.SolveMIPContext(ctx, s.MaxNodes)
-		res = mr.Result
-	} else {
-		res = p.SolveContext(ctx)
-	}
+	res, conflict := p.Check(ctx, s.MaxNodes)
 	s.Pivots += res.Pivots
-	v := LinearVerdict{Status: res.Status, X: res.X}
-	if res.Status == lp.Infeasible {
-		v.IIS = p.IISContext(ctx)
-		if len(p.Integer) > 0 && v.IIS == nil {
-			// Integrality-driven infeasibility: the relaxation is feasible,
-			// so the deletion filter over the relaxation finds nothing.
-			// Fall back to the full row set as the conflict.
-			v.IIS = allIndices(len(rows))
-		}
-	}
-	return v
-}
-
-func allIndices(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+	return LinearVerdict{Status: res.Status, X: res.X, IIS: conflict}
 }
 
 // ---------------------------------------------------------------------------

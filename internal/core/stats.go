@@ -21,6 +21,7 @@ type Stats struct {
 	LinearChecks    int `stat:"linear_checks" help:"Theory checks run by the linear solver."`
 	NonlinearChecks int `stat:"nonlinear_checks" help:"Theory checks run by the nonlinear solver."`
 	ConflictClauses int `stat:"conflict_clauses" help:"Theory conflicts turned into blocking clauses."`
+	ConflictLits    int `stat:"conflict_lits" help:"Literals in theory conflict clauses."`
 	LossyBlocks     int `stat:"lossy_blocks" help:"Undecided assignments blocked lossily (unsat degrades to unknown)."`
 	NESplits        int `stat:"ne_splits" help:"Disequality case splits."`
 	// SessionSolves counts solve calls served through a Session. Session

@@ -290,9 +290,19 @@ func (p *Problem) Solve() Result {
 // SolveContext is Solve with cooperative cancellation: the simplex polls
 // ctx between pivots and returns Status Canceled once it is done.
 func (p *Problem) SolveContext(ctx context.Context) Result {
+	r, _ := p.solve(ctx, false)
+	return r
+}
+
+// solve is SolveContext that, when explain is set, explains an Infeasible
+// verdict by the rows of a Farkas certificate, ascending: the residual
+// rows with a nonzero phase-1 dual, read off the final phase-1 reduced
+// costs, plus the unit rows presolve folded into their variables' bounds.
+// A presolve refutation is explained by the rows that decided it.
+func (p *Problem) solve(ctx context.Context, explain bool) (Result, []int) {
 	ps := presolve(p)
 	if ps.status == Infeasible {
-		return Result{Status: Infeasible}
+		return Result{Status: Infeasible}, ps.conflict
 	}
 	q := &Problem{
 		Constraints: ps.rows,
@@ -307,7 +317,29 @@ func (p *Problem) SolveContext(ctx context.Context) Result {
 	// includes every bounded variable.
 	t := newTableau(q)
 	t.ctx = ctx
-	return t.run()
+	res := t.run()
+	if res.Status != Infeasible || !explain {
+		return res, nil
+	}
+	// An upper-bound row after the residual ones matters only through a
+	// support row that shares its variable, whose origins cover it.
+	in := make([]bool, len(p.Constraints))
+	for i, c := range ps.rows {
+		var y float64
+		if pd := t.pend[i]; pd.art >= 0 {
+			y = 1 - t.wcost[pd.art]
+		} else {
+			y = -t.wcost[pd.slack]
+		}
+		if math.Abs(y) <= costTol {
+			continue
+		}
+		in[ps.orig[i]] = true
+		for v := range c.Coeffs {
+			ps.origins(in, v)
+		}
+	}
+	return res, rowsIn(in)
 }
 
 // Verify reports whether x satisfies every constraint and bound of p

@@ -186,16 +186,15 @@ func (p *Problem) SolveMIPContext(ctx context.Context, maxNodes int) MIPResult {
 			// fractional variable to branch on.
 		}
 
+		// Each child copies the map it narrows; pushed maps are never written.
 		f := r.X[branchVar]
-		lo := copyBounds(nd.lower)
-		hi := copyBounds(nd.upper)
 		// Down branch: x ≤ floor(f)
-		down := node{lower: lo, upper: copyBounds(nd.upper)}
+		down := node{lower: nd.lower, upper: copyBounds(nd.upper)}
 		if cur, ok := down.upper[branchVar]; !ok || math.Floor(f) < cur {
 			down.upper[branchVar] = math.Floor(f)
 		}
 		// Up branch: x ≥ ceil(f)
-		up := node{lower: copyBounds(nd.lower), upper: hi}
+		up := node{lower: copyBounds(nd.lower), upper: nd.upper}
 		if cur, ok := up.lower[branchVar]; !ok || math.Ceil(f) > cur {
 			up.lower[branchVar] = math.Ceil(f)
 		}

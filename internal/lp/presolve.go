@@ -8,6 +8,12 @@ type presolved struct {
 	rows   []Constraint
 	lower  map[string]float64
 	upper  map[string]float64
+	// orig is the index in the input of each residual row; loRow/hiRow name
+	// the unit row that set a bound (absent: the background bound).
+	orig         []int
+	loRow, hiRow map[string]int
+	// conflict, when Infeasible, lists the rows that decided it.
+	conflict []int
 }
 
 // presolve absorbs single-variable rows into variable bounds. On the
@@ -17,26 +23,20 @@ type presolved struct {
 // immediately as infeasibility. Constant rows (no variables) are decided
 // in place.
 func presolve(p *Problem) presolved {
-	lower := make(map[string]float64, len(p.Lower))
-	upper := make(map[string]float64, len(p.Upper))
+	ps := presolved{
+		status: Feasible,
+		lower:  make(map[string]float64, len(p.Lower)),
+		upper:  make(map[string]float64, len(p.Upper)),
+		loRow:  map[string]int{},
+		hiRow:  map[string]int{},
+	}
 	for v, b := range p.Lower {
-		lower[v] = b
+		ps.lower[v] = b
 	}
 	for v, b := range p.Upper {
-		upper[v] = b
+		ps.upper[v] = b
 	}
-	tightenLo := func(v string, b float64) {
-		if cur, ok := lower[v]; !ok || b > cur {
-			lower[v] = b
-		}
-	}
-	tightenHi := func(v string, b float64) {
-		if cur, ok := upper[v]; !ok || b < cur {
-			upper[v] = b
-		}
-	}
-	var rows []Constraint
-	for _, c := range p.Constraints {
+	for i, c := range p.Constraints {
 		// Count nonzero coefficients.
 		var name string
 		var coeff float64
@@ -59,7 +59,7 @@ func presolve(p *Problem) presolved {
 				ok = math.Abs(c.RHS) <= FeasTol
 			}
 			if !ok {
-				return presolved{status: Infeasible}
+				return presolved{status: Infeasible, conflict: []int{i}}
 			}
 		case 1:
 			b := c.RHS / coeff
@@ -72,24 +72,38 @@ func presolve(p *Problem) presolved {
 					rel = LE
 				}
 			}
-			switch rel {
-			case LE:
-				tightenHi(name, b)
-			case GE:
-				tightenLo(name, b)
-			case EQ:
-				tightenLo(name, b)
-				tightenHi(name, b)
+			if cur, ok := ps.lower[name]; (rel == GE || rel == EQ) && (!ok || b > cur) {
+				ps.lower[name], ps.loRow[name] = b, i
+			}
+			if cur, ok := ps.upper[name]; (rel == LE || rel == EQ) && (!ok || b < cur) {
+				ps.upper[name], ps.hiRow[name] = b, i
+			}
+			lo, okLo := ps.lower[name]
+			if hi, okHi := ps.upper[name]; okLo && okHi && lo > hi+FeasTol {
+				in := make([]bool, i+1)
+				ps.origins(in, name)
+				return presolved{status: Infeasible, conflict: rowsIn(in)}
 			}
 		default:
-			rows = append(rows, c)
+			ps.rows = append(ps.rows, c)
+			ps.orig = append(ps.orig, i)
 		}
 	}
-	for v, lo := range lower {
-		if hi, ok := upper[v]; ok && lo > hi+FeasTol {
-			_ = v
+	for v, lo := range ps.lower {
+		if hi, ok := ps.upper[v]; ok && lo > hi+FeasTol {
+			// Background bounds alone cross: no row is to blame.
 			return presolved{status: Infeasible}
 		}
 	}
-	return presolved{status: Feasible, rows: rows, lower: lower, upper: upper}
+	return ps
+}
+
+// origins marks in the unit rows that set v's bounds.
+func (ps *presolved) origins(in []bool, v string) {
+	if i, ok := ps.loRow[v]; ok {
+		in[i] = true
+	}
+	if i, ok := ps.hiRow[v]; ok {
+		in[i] = true
+	}
 }

@@ -129,7 +129,7 @@ func TestQuickPropagationSoundness(t *testing.T) {
 			rel := []Rel{LE, GE, EQ}[rng.Intn(3)]
 			p.AddConstraint(coeffs, rel, float64(rng.Intn(21)-10))
 		}
-		if p.RefutedByPropagation() {
+		if s := compile(p); s.propagate(p, allRows(p)) != nil {
 			return p.Solve().Status == Infeasible
 		}
 		return true

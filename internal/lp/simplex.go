@@ -51,6 +51,10 @@ type tableau struct {
 
 	nArtificial int
 
+	// pend holds each row's slack and artificial columns (-1: none), whose
+	// phase-1 reduced costs read off the row's dual.
+	pend []pending
+
 	// ctx, when non-nil, is polled every cancelPollEvery pivots; once it
 	// is done the run aborts with Status Canceled.
 	ctx context.Context
@@ -59,12 +63,12 @@ type tableau struct {
 // newTableau converts p to standard form.
 func newTableau(p *Problem) *tableau {
 	t := &tableau{p: p}
+	vars := p.Vars()
 	t.maxIter = p.MaxIter
 	if t.maxIter == 0 {
-		t.maxIter = 20000 + 200*(len(p.Constraints)+len(p.Vars()))
+		t.maxIter = 20000 + 200*(len(p.Constraints)+len(vars))
 	}
 
-	vars := p.Vars()
 	colOf := map[string][]int{} // variable → column indices (1 or 2)
 
 	// Variable columns.
@@ -72,11 +76,10 @@ func newTableau(p *Problem) *tableau {
 		lo, hasLo := p.Lower[v]
 		hi, hasHi := p.Upper[v]
 		switch {
-		case hasLo:
+		case hasLo: // an upper bound too becomes a row below
 			idx := len(t.cols)
 			t.cols = append(t.cols, column{kind: colShifted, v: v, shift: lo})
 			colOf[v] = []int{idx}
-			_ = hi // upper bound becomes a row below
 		case hasHi:
 			idx := len(t.cols)
 			t.cols = append(t.cols, column{kind: colNegated, v: v, shift: hi})
@@ -114,10 +117,7 @@ func newTableau(p *Problem) *tableau {
 			if c == 0 {
 				continue
 			}
-			idxs, ok := colOf[v]
-			if !ok {
-				continue // variable exists only here with zero col set; cannot happen via Vars()
-			}
+			idxs := colOf[v] // every row variable is in vars
 			col := t.cols[idxs[0]]
 			switch col.kind {
 			case colShifted:
@@ -151,11 +151,8 @@ func newTableau(p *Problem) *tableau {
 	t.rows = make([][]float64, m)
 	t.rhs = make([]float64, m)
 	t.basis = make([]int, m)
-	type pending struct {
-		slack int // column index or -1
-		art   int
-	}
-	pend := make([]pending, m)
+	t.pend = make([]pending, m)
+	pend := t.pend
 	for i, r := range rows {
 		a, rel, b := r.a, r.rel, r.b
 		if b < 0 {
@@ -182,7 +179,6 @@ func newTableau(p *Problem) *tableau {
 		case EQ:
 			pend[i].art = t.appendCol(column{kind: colArtificial})
 		}
-		_ = rel
 		rows[i].rel = rel
 	}
 	n := len(t.cols)
@@ -211,10 +207,7 @@ func newTableau(p *Problem) *tableau {
 	t.cost = make([]float64, n)
 	if p.Objective != nil {
 		for v, c := range p.Objective {
-			idxs, ok := colOf[v]
-			if !ok {
-				continue
-			}
+			idxs := colOf[v]
 			col := t.cols[idxs[0]]
 			switch col.kind {
 			case colShifted:
@@ -249,6 +242,8 @@ func newTableau(p *Problem) *tableau {
 	// the extracted point in run(), so no constant term is tracked here.
 	return t
 }
+
+type pending struct{ slack, art int }
 
 func (t *tableau) appendCol(c column) int {
 	t.cols = append(t.cols, c)
@@ -416,18 +411,6 @@ func (t *tableau) run() Result {
 			x[col.v] += val[j]
 		case colMinus:
 			x[col.v] -= val[j]
-		}
-	}
-	// Ensure every problem variable is present.
-	for _, v := range t.p.Vars() {
-		if _, ok := x[v]; !ok {
-			x[v] = 0
-			if lo, has := t.p.Lower[v]; has && lo > 0 {
-				x[v] = lo
-			}
-			if hi, has := t.p.Upper[v]; has && hi < x[v] {
-				x[v] = hi
-			}
 		}
 	}
 	res.X = x
